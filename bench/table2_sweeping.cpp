@@ -17,8 +17,8 @@
 /// −35% total runtime).
 ///
 /// `--json <path>` additionally writes the per-benchmark counters
-/// (gates, SAT calls, CE-propagation gate visits, sim/SAT/total seconds
-/// for both engines) and the geometric means as machine-readable JSON —
+/// (gates, SAT calls, SAT effort, sim/SAT/total seconds for both
+/// sweepers) and the geometric means as machine-readable JSON —
 /// the perf-trajectory convention: each PR regenerates BENCH_sweep.json
 /// so regressions show up in review (absolute seconds are
 /// machine-specific; compare ratios).
@@ -30,17 +30,13 @@
 ///
 /// `--ablation` additionally sweeps every instance with the
 /// incremental-CNF, store-budget, and signature-guided-SAT flags *off*
-/// (per-query scratch encoding, unbounded stores, full collapsed arena,
-/// no target pruning, no phase seeding, unrestricted decisions, flat
-/// window support, ungrouped round-2 guidance) *and the opposite CE
-/// engine* (resim where the main run used the collapsed view and vice
-/// versa), and asserts the result-gate counts match the flags-on run
-/// exactly — one re-sweep proves the flag, the engine, and the
-/// SAT-guidance dimensions at once.  The JSON gains an `stp_flags_off`
-/// object and an `ablation_match` field per row.
-///
-/// `--ce-engine auto|collapsed|resim` overrides the main run's CE
-/// propagation engine (default: the auto gate-count dispatch).
+/// (per-query scratch encoding, unbounded stores, no phase seeding,
+/// unrestricted decisions, flat window support, ungrouped round-2
+/// guidance, no learnt reduction or inprocessing), and asserts the
+/// result-gate counts match the flags-on run exactly — one re-sweep
+/// proves the flag and the SAT-guidance dimensions at once.  The JSON
+/// gains an `stp_flags_off` object and an `ablation_match` field per
+/// row.
 ///
 /// `--only <substr>` keeps only benchmarks whose name contains the
 /// substring (repeatable) — used for the committed `--scale 3` smoke
@@ -64,6 +60,9 @@
 /// byte-identical counters — the determinism pin.  STP rows gain
 /// `threads`/`sat_shards`/`workers_used`/`worker_sat_seconds` keys; the
 /// ablation re-sweep runs at the same thread/shard configuration.
+///
+/// `--help` prints the usage; an unknown flag, a missing value or a
+/// malformed number prints a message and exits with status 2.
 #include "gen/benchmarks.hpp"
 #include "network/traversal.hpp"
 #include "sweep/cec.hpp"
@@ -73,9 +72,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -138,27 +139,6 @@ void write_engine_json(std::FILE* f, const char* key,
                static_cast<unsigned long long>(s.undet_retries),
                static_cast<unsigned long long>(s.undet_resolved),
                stps::sweep::sweep_outcome_name(s.outcome));
-  // The CE engine the sweep finished with exists only for sweepers
-  // with selectable engines (the STP rows); fraig omits the key.
-  if (s.has_ce_engine) {
-    std::fprintf(f, "\"ce_engine_used\": \"%s\", ",
-                 stps::sweep::ce_engine_name(s.ce_engine_used));
-    if (s.ce_engine_escalated) {
-      std::fprintf(f, "\"ce_engine_escalated\": true, ");
-    }
-  }
-  // CE-propagation counters exist only for engines running the collapsed
-  // CE simulator; other engines omit the keys entirely so ratio tooling
-  // cannot divide by a meaningless zero.
-  if (s.has_ce_counters) {
-    std::fprintf(f,
-                 "\"ce_gates_visited\": %llu, "
-                 "\"ce_gates_scan_baseline\": %llu, "
-                 "\"ce_targets_pruned\": %llu, ",
-                 static_cast<unsigned long long>(s.ce_gates_visited),
-                 static_cast<unsigned long long>(s.ce_gates_scan_baseline),
-                 static_cast<unsigned long long>(s.ce_targets_pruned));
-  }
   std::fprintf(f,
                "\"sat_nodes_encoded\": %llu, \"sat_solver_rebuilds\": %llu, "
                "\"sat_clauses_peak\": %llu, ",
@@ -167,9 +147,7 @@ void write_engine_json(std::FILE* f, const char* key,
                static_cast<unsigned long long>(s.sat_clauses_peak));
   // Solver search effort, accumulated across garbage epochs — the
   // satisfiable-call *cost* trajectory the signature-phase and
-  // cone-scoping policies target.  `phase_seed_words` exists only for
-  // sweepers with the phase-seeding policy (the STP rows); fraig omits
-  // the key.
+  // cone-scoping policies target.
   std::fprintf(f,
                "\"sat_conflicts\": %llu, \"sat_decisions\": %llu, "
                "\"sat_restarts\": %llu, ",
@@ -191,20 +169,19 @@ void write_engine_json(std::FILE* f, const char* key,
                static_cast<unsigned long long>(s.sat_lits_collapsed),
                static_cast<unsigned long long>(s.sat_clauses_subsumed),
                s.sat_inprocess_seconds);
-  if (s.has_ce_engine) {
-    std::fprintf(f, "\"phase_seed_words\": %llu, ",
-                 static_cast<unsigned long long>(s.phase_seed_words));
-  }
-  // Parallel SAT phase: emitted only for sweeps that report per-worker
-  // accounting (the STP rows; fraig stays single-threaded).  At
-  // threads > 1 the *_seconds keys are per-worker sums, and SAT
-  // counters are sums over per-shard managers (learnt-clause state is
-  // per manager, so sharded totals differ from the single-shard run —
-  // compare ratios within one configuration; see bench/README.md).
+  // Keys only the STP sweeper defines — fraig has no phase-seeding
+  // policy and stays single-threaded, so it omits them: seeded phases
+  // and the SAT-phase accounting.  At threads > 1 the *_seconds keys
+  // are per-worker sums, and SAT counters are sums over per-shard
+  // managers (learnt-clause state is per manager, so totals differ
+  // between shard counts — compare ratios within one configuration; see
+  // bench/README.md).
   if (!s.worker_sat_seconds.empty()) {
     std::fprintf(f,
-                 "\"threads\": %u, \"sat_shards\": %u, "
-                 "\"workers_used\": %u, \"worker_sat_seconds\": [",
+                 "\"phase_seed_words\": %llu, \"threads\": %u, "
+                 "\"sat_shards\": %u, \"workers_used\": %u, "
+                 "\"worker_sat_seconds\": [",
+                 static_cast<unsigned long long>(s.phase_seed_words),
                  s.threads, s.sat_shards, s.workers_used);
     for (std::size_t w = 0; w < s.worker_sat_seconds.size(); ++w) {
       std::fprintf(f, "%s%.6f", w == 0u ? "" : ", ",
@@ -303,6 +280,37 @@ public:
   governed_scope& operator=(const governed_scope&) = delete;
 };
 
+const char* const usage =
+    "usage: table2_sweeping [--patterns N] [--scale N] [--only SUBSTR]... "
+    "[--ablation]\n"
+    "                       [--json PATH] [--threads N] [--shards N] "
+    "[--deadline SEC]\n"
+    "                       [--conflict-budget N] "
+    "[--conflict-budget-total N]\n"
+    "                       [--sat-reduce 0|1] [--sat-inprocess 0|1] "
+    "[--help]\n"
+    "See bench/README.md for what each flag does.\n";
+
+/// Whole-string number parse: false on an empty, partial or
+/// out-of-range value.
+template <typename T>
+bool parse_number(const char* text, T& out)
+{
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end && ptr != text;
+}
+
+bool parse_switch(const char* text, bool& out)
+{
+  uint32_t value = 0;
+  if (!parse_number(text, value) || value > 1u) {
+    return false;
+  }
+  out = value == 1u;
+  return true;
+}
+
 } // namespace
 
 int main(int argc, char** argv)
@@ -311,7 +319,6 @@ int main(int argc, char** argv)
   uint64_t base_patterns = 1024u;
   uint32_t scale = 0;
   bool ablation = false;
-  sweep::ce_engine_kind ce_engine = sweep::ce_engine_kind::automatic;
   std::string json_path;
   std::vector<std::string> only;
   double deadline_seconds = 0.0;       // 0 = no deadline
@@ -322,58 +329,50 @@ int main(int argc, char** argv)
   bool sat_reduce = true;              // solver learnt-clause reduction
   bool sat_inprocess = true;           // between-query inprocessing
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ablation") == 0) {
-      ablation = true;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      continue;
-    }
-    if (std::strcmp(argv[i], "--patterns") == 0) {
-      base_patterns = std::stoull(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--deadline") == 0) {
-      deadline_seconds = std::stod(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--conflict-budget") == 0) {
-      conflict_budget = std::stoll(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--conflict-budget-total") == 0) {
-      conflict_budget_total = std::stoull(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<uint32_t>(std::stoul(argv[i + 1]));
-    }
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = static_cast<uint32_t>(std::stoul(argv[i + 1]));
-    }
-    if (std::strcmp(argv[i], "--sat-reduce") == 0) {
-      sat_reduce = std::stoul(argv[i + 1]) != 0u;
-    }
-    if (std::strcmp(argv[i], "--sat-inprocess") == 0) {
-      sat_inprocess = std::stoul(argv[i + 1]) != 0u;
-    }
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      scale = static_cast<uint32_t>(std::stoul(argv[i + 1]));
-    }
-    if (std::strcmp(argv[i], "--only") == 0) {
-      only.emplace_back(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--ce-engine") == 0) {
-      const std::string value = argv[i + 1];
-      if (value == "collapsed") {
-        ce_engine = sweep::ce_engine_kind::collapsed;
-      } else if (value == "resim") {
-        ce_engine = sweep::ce_engine_kind::resim;
-      } else if (value == "auto") {
-        ce_engine = sweep::ce_engine_kind::automatic;
-      } else {
-        std::fprintf(stderr, "unknown --ce-engine %s\n", value.c_str());
-        return 1;
+    const std::string arg = argv[i];
+    // The value of a flag that takes one; a missing value ends the run.
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n%s", arg.c_str(), usage);
+        std::exit(2);
       }
+      return argv[++i];
+    };
+    bool ok = true;
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(usage, stdout);
+      return 0;
+    } else if (arg == "--ablation") {
+      ablation = true;
+    } else if (arg == "--patterns") {
+      ok = parse_number(value(), base_patterns);
+    } else if (arg == "--deadline") {
+      ok = parse_number(value(), deadline_seconds) && deadline_seconds >= 0.0;
+    } else if (arg == "--conflict-budget") {
+      ok = parse_number(value(), conflict_budget);
+    } else if (arg == "--conflict-budget-total") {
+      ok = parse_number(value(), conflict_budget_total);
+    } else if (arg == "--threads") {
+      ok = parse_number(value(), threads);
+    } else if (arg == "--shards") {
+      ok = parse_number(value(), shards);
+    } else if (arg == "--sat-reduce") {
+      ok = parse_switch(value(), sat_reduce);
+    } else if (arg == "--sat-inprocess") {
+      ok = parse_switch(value(), sat_inprocess);
+    } else if (arg == "--scale") {
+      ok = parse_number(value(), scale);
+    } else if (arg == "--json") {
+      json_path = value();
+    } else if (arg == "--only") {
+      only.emplace_back(value());
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n%s", arg.c_str(), usage);
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", arg.c_str(), argv[i]);
+      return 2;
     }
   }
   scale = std::min(scale, gen::max_sweep_scale); // keep recorded scale honest
@@ -436,7 +435,6 @@ int main(int argc, char** argv)
     sweep::resource_governor stp_gov{limits};
     sweep::stp_sweep_params params;
     params.guided.base_patterns = base_patterns;
-    params.ce_engine = ce_engine;
     params.conflict_budget = conflict_budget;
     params.threads = threads;
     params.sat_shards = shards;
@@ -464,13 +462,12 @@ int main(int argc, char** argv)
     }
 
     // Ablation proof: flags off (per-query scratch CNF, unbounded
-    // stores, full collapsed arena, no target pruning, no signature
-    // phase seeding, unrestricted decisions, flat window support,
-    // ungrouped round-2 guidance) *and* the opposite CE engine must
-    // land on exactly the same result network size, and be
-    // CEC-equivalent — flags and engine choice only change when and
-    // where work is paid, or which (equally valid) counter-examples
-    // steer the refinement there.
+    // stores, no signature phase seeding, unrestricted decisions, flat
+    // window support, ungrouped round-2 guidance, no learnt reduction or
+    // inprocessing) must land on exactly the same result network size,
+    // and be CEC-equivalent — the flags only change when and where work
+    // is paid, or which (equally valid) counter-examples steer the
+    // refinement there.
     sweep::sweep_stats as;
     bool ablation_match = false;
     if (ablation) {
@@ -479,17 +476,12 @@ int main(int argc, char** argv)
       off.use_incremental_cnf = false;
       off.sat_clause_budget = 0u;
       off.store_word_budget = 0u;
-      off.ce_prune_targets = false;
-      off.ce_initial_words = 0u;
       off.use_signature_phase = false;
       off.use_cone_scoped_decisions = false;
       off.window_scale_gates = 0u; // flat window support
       off.guided.round2_group_by_signature = false;
       off.sat_reduce = false;      // epoch-only learnt retention
       off.sat_inprocess = false;   // no between-query simplification
-      off.ce_engine = ss.ce_engine_used == sweep::ce_engine_kind::collapsed
-                          ? sweep::ce_engine_kind::resim
-                          : sweep::ce_engine_kind::collapsed;
       // Fresh governor, same limits: the main run may have spent its
       // budget, and the ablation re-sweep deserves the full allowance.
       sweep::resource_governor abl_gov{limits};

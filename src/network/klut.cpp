@@ -14,8 +14,6 @@ klut_network::klut_network()
   tables_.push_back(one);
   fanins_.emplace_back();
   fanins_.emplace_back();
-  fanouts_.emplace_back();
-  fanouts_.emplace_back();
 }
 
 klut_network::node klut_network::get_constant(bool value) const noexcept
@@ -30,7 +28,6 @@ klut_network::node klut_network::create_pi(std::string name)
   }
   tables_.emplace_back(0u);
   fanins_.emplace_back();
-  fanouts_.emplace_back();
   ++num_pis_;
   pi_names_.push_back(std::move(name));
   return static_cast<node>(tables_.size() - 1u);
@@ -53,14 +50,6 @@ klut_network::node klut_network::create_node(std::span<const node> fanins,
                                   static_cast<uint32_t>(fanins.size()));
   tables_.push_back(std::move(table));
   fanins_.emplace_back(fanins.begin(), fanins.end());
-  fanouts_.emplace_back();
-  for (node f : fanins) {
-    // A gate may reference the same fanin through several slots; record it
-    // once.  Ids only grow, so `self` can only collide with the tail.
-    if (fanouts_[f].empty() || fanouts_[f].back() != self) {
-      fanouts_[f].push_back(self);
-    }
-  }
   return self;
 }
 

@@ -21,10 +21,7 @@ namespace stps::net {
 
 /// k-LUT network with dense node ids; id 0 is constant zero.  Nodes are
 /// immutable once created and ids are topologically sorted by
-/// construction.  Static fanout lists (mirroring aig_network's) are
-/// maintained incrementally by `create_node`, so event-driven simulators
-/// can propagate a changed value forward instead of scanning every gate
-/// for dirty fanins.
+/// construction.
 class klut_network
 {
 public:
@@ -64,15 +61,6 @@ public:
     return static_cast<uint32_t>(fanins_.at(n).size());
   }
 
-  /// Gates whose fanin list references \p n (each gate listed once, even
-  /// when it references \p n through several fanin slots), in increasing
-  /// id order.  PO references are not included.
-  const std::vector<node>& fanout(node n) const { return fanouts_.at(n); }
-  uint32_t fanout_count(node n) const
-  {
-    return static_cast<uint32_t>(fanouts_.at(n).size());
-  }
-
   node pi_at(uint32_t index) const noexcept { return 2u + index; }
   node po_at(uint32_t index) const { return pos_.at(index); }
 
@@ -87,7 +75,6 @@ private:
   // Node 0 = constant 0, node 1 = constant 1; tables_ aligned with ids.
   std::vector<tt::truth_table> tables_;
   std::vector<std::vector<node>> fanins_;
-  std::vector<std::vector<node>> fanouts_;
   std::vector<node> pos_;
   std::vector<std::string> pi_names_;
   std::vector<std::string> po_names_;

@@ -123,7 +123,7 @@ void resimulate_aig_all_last_word(const net::aig_network& aig,
   const uint32_t num_pis = aig.num_pis();
   const std::size_t size = aig.size();
   if (last >= signatures.base_words()) {
-    // Fully word-major store (the CE-engine case): one contiguous block
+    // Fully word-major store (the sweeper's case): one contiguous block
     // holds every node's bits of the recomputed word.
     uint64_t* const wb = signatures.tail_word(last).data();
     wb[0] = 0u;

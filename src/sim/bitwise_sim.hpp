@@ -41,18 +41,17 @@ void resimulate_aig_last_word(const net::aig_network& aig,
 /// dead gates included.  Substitutions are function-preserving and a
 /// dead gate keeps the fanin fields it died with, so an id-order pass
 /// over the whole node array yields each node's original function under
-/// the patterns; this is what makes the whole-AIG counter-example
-/// engine (sweep/ce_engine.hpp) bit-identical to the collapsed-view
-/// snapshot even for class members that merged away mid-sweep.  Unlike
-/// the incremental variant, the last word is recomputed entirely from
-/// the pattern words, so earlier signature words need not be live.
+/// the patterns, even for class members that merged away.  This is how
+/// the STP sweeper absorbs counter-examples.  Unlike the incremental
+/// variant, the last word is recomputed entirely from the pattern words,
+/// so earlier signature words need not be live.
 void resimulate_aig_all_last_word(const net::aig_network& aig,
                                   const pattern_set& patterns,
                                   signature_store& signatures);
 
 /// Precomputed fanin-literal arrays + dependency-safety bitmap feeding
 /// the vectorized whole-AIG resimulation kernel (sim/simd.hpp).  Built
-/// once (per CE-engine build) from a snapshot of every node's fanin
+/// once per sweep from a snapshot of every node's fanin
 /// literals; the snapshot stays valid across sweeping's substitutions
 /// because they rewire fanins to *function-identical* signals (proven
 /// equivalences), so evaluating the snapshotted literals produces
@@ -74,7 +73,7 @@ resim_plan make_resim_plan(const net::aig_network& aig);
 
 /// Plan-driven variant of `resimulate_aig_all_last_word`: identical
 /// results, vectorized over dependency-safe 4-blocks when the store is
-/// word-major at the open word (the CE-engine case; otherwise falls
+/// word-major at the open word (the sweeper's case; otherwise falls
 /// back to the plain variant).
 void resimulate_aig_all_last_word(const net::aig_network& aig,
                                   const pattern_set& patterns,

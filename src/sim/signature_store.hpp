@@ -204,9 +204,9 @@ public:
   /// Appends one word that is *born trimmed*: it occupies an absolute
   /// index (keeping later words aligned with the pattern set) but never
   /// allocates backing storage — reads yield 0, writes are a bug.  Used
-  /// to build reduced simulation arenas whose leading words would be
-  /// absorbed immediately anyway (the collapsed CE view at scale).
-  /// Callable only while the store has no live words yet.
+  /// by whole-AIG counter-example resimulation, which recomputes only
+  /// the open word and never reads the words before it.  Callable only
+  /// while the store has no live words yet.
   void append_trimmed_word();
 
   /// Re-establishes the canonical-tail invariant: bits at or beyond

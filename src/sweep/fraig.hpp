@@ -8,9 +8,11 @@
 /// representative with SAT; UNSAT merges the pair, SAT yields a
 /// counter-example that is appended to the pattern set and *bit-parallel
 /// re-simulated over the whole network* to refine all classes.  The STP
-/// sweeper (stp_sweeper.hpp) differs exactly where the paper claims:
-/// pattern quality (SAT-guided), CE simulation scope (class nodes only,
-/// via collapsed k-LUT cuts), and exhaustive window resolution.
+/// sweeper (stp_sweeper.hpp) differs in pattern quality (SAT-guided
+/// rounds), STP k-LUT initial simulation, candidate order and driver
+/// selection, batched CE refinement, and exhaustive window resolution.
+/// Both resimulate counter-examples over the whole AIG; the paper's
+/// collapsed k-LUT CE view was measured and removed (bench/README.md).
 #pragma once
 
 #include "network/aig.hpp"

@@ -3,7 +3,7 @@
 #include "core/stp_simulator.hpp"
 #include "network/traversal.hpp"
 #include "sat/cnf_manager.hpp"
-#include "sweep/ce_engine.hpp"
+#include "sim/bitwise_sim.hpp"
 #include "sweep/equiv_classes.hpp"
 #include "sweep/tfi_manager.hpp"
 #include "sweep/worker_pool.hpp"
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -25,6 +26,26 @@ using clock_type = std::chrono::steady_clock;
 double seconds_since(clock_type::time_point start)
 {
   return std::chrono::duration<double>(clock_type::now() - start).count();
+}
+
+/// Writes \p cnf's encode and search counters into \p stats (assignment
+/// semantics: one manager's whole life).
+void fill_cnf_stats(sweep_stats& stats, const sat::cnf_manager& cnf)
+{
+  stats.sat_nodes_encoded = cnf.nodes_encoded();
+  stats.sat_solver_rebuilds = cnf.rebuilds();
+  stats.sat_clauses_peak = cnf.clauses_peak();
+  const sat::solver_stats solver_totals = cnf.solver_statistics();
+  stats.sat_conflicts = solver_totals.conflicts;
+  stats.sat_decisions = solver_totals.decisions;
+  stats.sat_restarts = solver_totals.restarts;
+  stats.sat_learnts_reduced = solver_totals.learnts_reduced;
+  stats.sat_lbd_sum = solver_totals.lbd_sum;
+  stats.sat_binary_clauses = solver_totals.binary_clauses;
+  stats.sat_lits_collapsed = solver_totals.lits_collapsed;
+  stats.sat_clauses_subsumed = solver_totals.clauses_subsumed;
+  stats.sat_inprocess_seconds = solver_totals.inprocess_seconds;
+  stats.phase_seed_words = cnf.phase_seeds();
 }
 
 /// Exact window resolution by one word-parallel exhaustive simulation
@@ -188,71 +209,38 @@ enum class cand_status : uint8_t
   stopped,  ///< governor tripped mid-processing: wind the sweep down
 };
 
-/// One SAT-phase pass over a candidate order: the class machinery, CE
-/// engine, window resolution, and the candidate/retry loops of Alg. 2,
-/// operating on *owned* pattern/signature/class state.
+/// One shard's SAT-phase pass over a candidate order: the class
+/// machinery, counter-example resimulation, window resolution, and the
+/// candidate/retry loops of Alg. 2, operating on *owned*
+/// pattern/signature/class state.
 ///
-/// Two modes share every line of the hot path:
-///
-/// * **in-place** (`deferred == nullptr`): proven merges call
-///   `aig.substitute_node` immediately — the single-thread sweep,
-///   byte-identical to the pre-parallel implementation;
-/// * **recording** (`deferred != nullptr`): the AIG is frozen (shared
-///   read-only by all shards) and proven merges append a
-///   `merge_record` instead.  Each shard constructs its own core over
-///   private copies of the simulation state and a private
-///   `sat::cnf_manager`, so a shard's trajectory is a pure function of
-///   its inputs — independent of how shards are scheduled onto threads.
+/// The AIG is frozen (shared read-only by all shards) and proven merges
+/// append a `merge_record` instead of rewiring it.  Each shard
+/// constructs its own core over private copies of the simulation state
+/// and a private `sat::cnf_manager`, so a shard's trajectory is a pure
+/// function of its inputs — independent of how shards are scheduled
+/// onto threads.
 class sweep_core
 {
 public:
-  sweep_core(net::aig_network& aig, const stp_sweep_params& params,
+  sweep_core(const net::aig_network& aig, const stp_sweep_params& params,
              sat::cnf_manager& cnf, sweep_stats& stats,
-             uint32_t gates_global, sim::pattern_set patterns,
-             sim::signature_store sig, equiv_classes classes,
-             std::vector<merge_record>* deferred)
-      : aig_{aig}, params_{params}, cnf_{cnf}, stats_{stats},
-        gates_global_{gates_global}, patterns_{std::move(patterns)},
-        sig_{std::move(sig)}, classes_{std::move(classes)},
-        deferred_merges_{deferred}, tfi_{aig, params.tfi_limit},
-        dont_touch_(aig.size(), false)
+             uint32_t gates_global, const sim::resim_plan& plan,
+             sim::pattern_set patterns, sim::signature_store sig,
+             equiv_classes classes, std::vector<merge_record>& merges)
+      : aig_{aig}, params_{params}, cnf_{cnf}, stats_{stats}, plan_{plan},
+        patterns_{std::move(patterns)}, sig_{std::move(sig)},
+        classes_{std::move(classes)}, merges_{merges},
+        tfi_{aig, params.tfi_limit}
   {
-    // ---- Counter-example propagation engine (§III-B, §IV-A). ---------
-    // Dispatch by *global* instance size (ce_engine.hpp): every shard
-    // must pick the same engine for the shard count to be the only
-    // trajectory parameter.  Targets are every class member whose word
-    // refinement will read; pinned nodes are the class representatives
-    // the collapsed engine keeps observable even under target pruning.
-    engine_kind_ = resolve_ce_engine(params_.ce_engine, gates_global_,
-                                     params_.ce_engine_gate_threshold);
-    ran_collapsed_ = engine_kind_ == ce_engine_kind::collapsed;
-    cesim_ = make_ce_engine(
-        engine_kind_, {params_.collapse_limit, params_.ce_prune_targets,
-                       params_.ce_initial_words});
-    {
-      const auto t_sim = clock_type::now();
-      std::vector<net::node> target_gates;
-      std::vector<net::node> pinned;
-      for (uint32_t c = 0; c < classes_.num_class_ids(); ++c) {
-        bool have_rep = false;
-        for (const net::node m : classes_.members(c)) {
-          if (aig_.is_and(m) && !aig_.is_dead(m)) {
-            target_gates.push_back(m);
-            if (!have_rep) {
-              pinned.push_back(m); // class representative
-              have_rep = true;
-            }
-          }
-        }
-      }
-      cesim_->build(aig_, target_gates, pinned, patterns_);
-      stats_.sim_seconds += seconds_since(t_sim);
-    }
-
+    // Counter-example words are recomputed for every node id by
+    // whole-AIG resimulation (§IV-A), so the store needs no initial
+    // simulation: it is word-major from the first word on.
+    rsig_.reset(aig_.size(), 0u);
     applied_global_ = patterns_.num_patterns();
-    window_support_ = params_.effective_window_support(gates_global_);
+    window_support_ = params_.effective_window_support(gates_global);
     resolver_.attach(aig_);
-    trim_absorbed_words(); // base words are absorbed by the initial build
+    trim_absorbed_words(); // base words are absorbed by the initial class build
   }
 
   /// The candidate loop (reverse topological order, lines 4-32) plus
@@ -270,9 +258,6 @@ public:
       if (stopped()) {
         aborted_ = true;
         break;
-      }
-      if (aig_.is_dead(n) || dont_touch_[n]) {
-        continue; // skip(candidate), lines 7-9
       }
       const cand_status status =
           process_candidate(n, params_.conflict_budget, retries_on);
@@ -307,8 +292,8 @@ public:
           aborted_ = true;
           break;
         }
-        if (node_merged(n)) {
-          // A cascaded merge settled it while it sat in the queue.
+        if (classes_.class_of(n) == equiv_classes::no_class) {
+          // Refinement split it off its class while it sat in the queue.
           ++stats_.undet_resolved;
           continue;
         }
@@ -339,50 +324,19 @@ public:
 
   bool aborted() const noexcept { return aborted_; }
 
-  /// Writes the pass's outcome/engine/CNF/store counters into the stats
-  /// this core was constructed over (assignment semantics — a parallel
-  /// driver sums the per-shard stats afterwards).
+  /// Writes the pass's outcome/CNF/store counters into the stats this
+  /// core was constructed over (assignment semantics — the driver sums
+  /// the per-shard stats afterwards).
   void finalize_stats()
   {
     if (aborted_ && params_.governor != nullptr) {
       stats_.outcome = params_.governor->outcome();
     }
-    stats_.has_ce_engine = true;
-    stats_.ce_engine_used = engine_kind_;
-    stats_.ce_engine_escalated = escalated_;
-    if (ran_collapsed_) {
-      // The collapsed engine's output-sensitivity counters, captured at
-      // the escalation point when the sweep switched engines.
-      stats_.has_ce_counters = true;
-      stats_.ce_gates_visited =
-          escalated_ ? esc_visited_ : cesim_->gates_visited();
-      stats_.ce_gates_scan_baseline =
-          escalated_ ? esc_baseline_ : cesim_->gates_scan_baseline();
-      stats_.ce_targets_pruned =
-          escalated_ ? esc_pruned_ : cesim_->targets_pruned();
-    }
-    stats_.sat_nodes_encoded = cnf_.nodes_encoded();
-    stats_.sat_solver_rebuilds = cnf_.rebuilds();
-    stats_.sat_clauses_peak = cnf_.clauses_peak();
-    const sat::solver_stats solver_totals = cnf_.solver_statistics();
-    stats_.sat_conflicts = solver_totals.conflicts;
-    stats_.sat_decisions = solver_totals.decisions;
-    stats_.sat_restarts = solver_totals.restarts;
-    stats_.sat_learnts_reduced = solver_totals.learnts_reduced;
-    stats_.sat_lbd_sum = solver_totals.lbd_sum;
-    stats_.sat_binary_clauses = solver_totals.binary_clauses;
-    stats_.sat_lits_collapsed = solver_totals.lits_collapsed;
-    stats_.sat_clauses_subsumed = solver_totals.clauses_subsumed;
-    stats_.sat_inprocess_seconds = solver_totals.inprocess_seconds;
-    stats_.phase_seed_words = cnf_.phase_seeds();
+    fill_cnf_stats(stats_, cnf_);
     stats_.has_store_counters = true;
-    stats_.store_words_live =
-        sig_.live_words() + cesim_->store().live_words();
-    stats_.store_words_trimmed = sig_.words_trimmed() +
-                                 cesim_->store().words_trimmed() +
-                                 esc_store_trimmed_;
-    stats_.store_peak_bytes =
-        sig_.peak_bytes() + cesim_->store().peak_bytes() + esc_store_peak_;
+    stats_.store_words_live = sig_.live_words() + rsig_.live_words();
+    stats_.store_words_trimmed = sig_.words_trimmed() + rsig_.words_trimmed();
+    stats_.store_peak_bytes = sig_.peak_bytes() + rsig_.peak_bytes();
     stats_.pattern_words_live = patterns_.live_words();
     stats_.pattern_words_recycled = patterns_.words_recycled();
   }
@@ -393,20 +347,9 @@ private:
     return params_.governor != nullptr && params_.governor->should_stop();
   }
 
-  /// In-place mode: merged nodes are dead in the AIG.  Recording mode
-  /// never kills nodes, so "already merged" means "recorded" — the node
-  /// left its class when the record was taken.
-  bool node_merged(net::node n) const
-  {
-    if (deferred_merges_ == nullptr) {
-      return aig_.is_dead(n);
-    }
-    return classes_.class_of(n) == equiv_classes::no_class;
-  }
-
   /// Books a proven merge of \p n onto \p driver (shared counter
-  /// bookkeeping of the window and UNSAT paths), then either applies it
-  /// or records it for the deterministic commit pass.
+  /// bookkeeping of the window and UNSAT paths) and records it for the
+  /// deterministic commit pass.
   void merge_candidate(net::node n, net::node driver, bool complement,
                        bool window)
   {
@@ -418,12 +361,7 @@ private:
     if (aig_.is_constant(driver)) {
       ++stats_.constant_merges;
     }
-    const net::signal target{driver, complement};
-    if (deferred_merges_ != nullptr) {
-      deferred_merges_->push_back({n, target});
-    } else {
-      aig_.substitute_node(n, target);
-    }
+    merges_.push_back({n, net::signal{driver, complement}});
   }
 
   // ---- Signature-store and pattern word budget. ----------------------
@@ -445,54 +383,18 @@ private:
                                        ? patterns_.num_words()
                                        : patterns_.num_words() - 1u;
     if (sig_.live_words() <= params_.store_word_budget &&
-        cesim_->store().live_words() <= params_.store_word_budget &&
+        rsig_.live_words() <= params_.store_word_budget &&
         patterns_.live_words() <= params_.store_word_budget) {
       return;
     }
     sig_.trim_words(first_live);
-    cesim_->trim_absorbed(first_live);
+    rsig_.trim_words(first_live);
     patterns_.trim_words(first_live);
   }
 
-  // ---- Mid-sweep engine escalation (`auto` only). --------------------
-  // The size dispatch cannot see per-CE disturbance: on deep random
-  // logic every counter-example can flip a large fraction of the needed
-  // gates, and the collapsed worklist (random-access LUT bit lookups)
-  // then loses to one branch-free whole-AIG word pass.  Once the
-  // measured average visited-gates-per-CE crosses the threshold, swap
-  // engines.  The resim engine recomputes the open word entirely from
-  // the pattern set, so the swap carries no state and cannot change
-  // results — the differential harness pins a forced-escalation run
-  // against the pure engines.
-  void maybe_escalate()
-  {
-    if (params_.ce_engine != ce_engine_kind::automatic ||
-        params_.ce_escalate_per_mille == 0u || escalated_ ||
-        engine_kind_ != ce_engine_kind::collapsed || ces_absorbed_ < 64u) {
-      return;
-    }
-    const uint64_t budget = uint64_t{gates_global_} *
-                            params_.ce_escalate_per_mille / 1000u *
-                            ces_absorbed_;
-    if (cesim_->gates_visited() <= budget) {
-      return;
-    }
-    escalated_ = true;
-    esc_visited_ = cesim_->gates_visited();
-    esc_baseline_ = cesim_->gates_scan_baseline();
-    esc_pruned_ = cesim_->targets_pruned();
-    esc_store_trimmed_ = cesim_->store().words_trimmed();
-    esc_store_peak_ = cesim_->store().peak_bytes();
-    engine_kind_ = ce_engine_kind::resim;
-    cesim_ = make_ce_engine(engine_kind_, {params_.collapse_limit,
-                                           params_.ce_prune_targets,
-                                           params_.ce_initial_words});
-    cesim_->build(aig_, {}, {}, patterns_);
-  }
-
   // ---- Batched counter-example bookkeeping. --------------------------
-  // CEs land in the open tail word immediately (cesim keeps every bit
-  // current), but *refinement* is deferred per class: a class is
+  // CEs land in the open tail word immediately (absorb_ce recomputes
+  // every bit), but *refinement* is deferred per class: a class is
   // refined only when (b) it is the current candidate's class and needs
   // the fresh bits to make progress, (c) the loop advances to it, or
   // (a) the word fills with 64 CEs and everything is brought up to date
@@ -513,10 +415,24 @@ private:
     return applied < patterns_.num_patterns();
   }
 
-  // Copies the open tail word from the CE simulator into the candidate
-  // signature store for the given members (dead members keep their
-  // function — merges are function-preserving — so they sync too, which
-  // keeps refinement independent of *when* a class is refined).
+  // Recomputes the open word for every node id after a counter-example
+  // was appended to the pattern set.  Words older than the open one are
+  // born trimmed: the recompute is total and never reads them.
+  void absorb_ce()
+  {
+    const std::size_t want = patterns_.num_words();
+    while (rsig_.num_words() + 1u < want) {
+      rsig_.append_trimmed_word();
+    }
+    if (rsig_.num_words() < want) {
+      rsig_.append_word();
+    }
+    sim::resimulate_aig_all_last_word(aig_, patterns_, rsig_, plan_);
+  }
+
+  // Copies the open tail word from the resimulated store into the
+  // candidate signature store for the given members (the recompute
+  // covers the constant and the PIs too).
   void sync_member_rows(const std::vector<net::node>& members)
   {
     while (sig_.num_words() < patterns_.num_words()) {
@@ -524,7 +440,7 @@ private:
     }
     const std::size_t last = patterns_.num_words() - 1u;
     for (const net::node m : members) {
-      sig_.word(m, last) = cesim_->node_word(aig_, m, patterns_, last);
+      sig_.word(m, last) = rsig_.word(m, last);
     }
   }
 
@@ -627,22 +543,6 @@ private:
           return cand_status::settled;
         }
       }
-      // Drop members killed by cascaded merges (in-place mode only —
-      // a frozen AIG never kills anything mid-pass).
-      {
-        members_scratch_.assign(classes_.members(c).begin(),
-                                classes_.members(c).end());
-        for (const net::node m : members_scratch_) {
-          if (aig_.is_and(m) && aig_.is_dead(m)) {
-            classes_.remove_member(m);
-          }
-        }
-        c = classes_.class_of(n);
-        if (c == equiv_classes::no_class) {
-          return cand_status::settled;
-        }
-      }
-
       maybe_resolve(c);
       c = classes_.class_of(n);
       if (c == equiv_classes::no_class) {
@@ -689,8 +589,7 @@ private:
         if (allow_defer) {
           return cand_status::deferred;
         }
-        dont_touch_[n] = true; // mark_dont_touch, lines 19-21
-        ++stats_.dont_touch;
+        ++stats_.dont_touch; // mark_dont_touch, lines 19-21
         classes_.remove_member(n);
         return cand_status::gave_up;
       }
@@ -706,10 +605,8 @@ private:
         refine_all_classes();  // condition (a): word full, flush
         trim_absorbed_words(); // every word is absorbed now
       }
-      maybe_escalate(); // before the absorb: the old engine is synced
       patterns_.add_pattern(ce);
-      cesim_->add_ce(patterns_, ce);
-      ++ces_absorbed_;
+      absorb_ce();
       if (!params_.use_batched_ce_refinement) {
         // Ablation: eager per-CE refinement (the seed's behavior),
         // through the same sync + dense-refinement path as the
@@ -720,23 +617,16 @@ private:
     }
   }
 
-  net::aig_network& aig_;
+  const net::aig_network& aig_;
   const stp_sweep_params& params_;
   sat::cnf_manager& cnf_;
   sweep_stats& stats_;
-  const uint32_t gates_global_; ///< gate count the size policies key on
+  const sim::resim_plan& plan_; ///< shared by every shard, read-only
   sim::pattern_set patterns_;
-  sim::signature_store sig_;
+  sim::signature_store sig_;  ///< candidate signatures (refinement input)
+  sim::signature_store rsig_; ///< resimulated open word, word-major
   equiv_classes classes_;
-  std::vector<merge_record>* deferred_merges_;
-
-  ce_engine_kind engine_kind_ = ce_engine_kind::collapsed;
-  std::unique_ptr<ce_engine> cesim_;
-  uint64_t ces_absorbed_ = 0;
-  bool escalated_ = false;
-  uint64_t esc_visited_ = 0, esc_baseline_ = 0, esc_pruned_ = 0;
-  uint64_t esc_store_trimmed_ = 0, esc_store_peak_ = 0;
-  bool ran_collapsed_ = false;
+  std::vector<merge_record>& merges_;
 
   uint64_t applied_global_ = 0;
   std::vector<uint64_t> class_applied_; // per class id, lazily grown
@@ -750,8 +640,6 @@ private:
   std::vector<uint64_t> resolve_keys_scratch_;
 
   tfi_manager tfi_;
-  std::vector<bool> dont_touch_;
-  std::vector<net::node> members_scratch_;
   bool aborted_ = false;
 };
 
@@ -777,27 +665,9 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   cnf_params.faults = params.faults;
   sat::cnf_manager cnf{aig, cnf_params};
 
-  // Deadline/budget/cancellation poll, and the accounting used when the
-  // governor aborts before the class machinery exists — a partial
-  // result must still report what it spent.
+  // Deadline/budget/cancellation poll.
   const auto stopped = [governor = params.governor]() {
     return governor != nullptr && governor->should_stop();
-  };
-  const auto fill_cnf_stats = [&]() {
-    stats.sat_nodes_encoded = cnf.nodes_encoded();
-    stats.sat_solver_rebuilds = cnf.rebuilds();
-    stats.sat_clauses_peak = cnf.clauses_peak();
-    const sat::solver_stats solver_totals = cnf.solver_statistics();
-    stats.sat_conflicts = solver_totals.conflicts;
-    stats.sat_decisions = solver_totals.decisions;
-    stats.sat_restarts = solver_totals.restarts;
-    stats.sat_learnts_reduced = solver_totals.learnts_reduced;
-    stats.sat_lbd_sum = solver_totals.lbd_sum;
-    stats.sat_binary_clauses = solver_totals.binary_clauses;
-    stats.sat_lits_collapsed = solver_totals.lits_collapsed;
-    stats.sat_clauses_subsumed = solver_totals.clauses_subsumed;
-    stats.sat_inprocess_seconds = solver_totals.inprocess_seconds;
-    stats.phase_seed_words = cnf.phase_seeds();
   };
 
   // ---- Initial patterns (Alg. 2 line 2) + constant propagation (line 3).
@@ -835,22 +705,25 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     // Aborted during pattern generation: the constants applied above
     // are each a completed UNSAT proof, so the network is already a
     // sound partial result — finalize without building the class
-    // machinery (engine/store counters stay unreported).
+    // machinery (store counters stay unreported, no worker ran).
     aig.cleanup_dangling();
     stats.gates_after = aig.num_gates();
     stats.outcome = params.governor->outcome();
-    fill_cnf_stats();
-    stats.worker_sat_seconds = {stats.sat_seconds};
+    fill_cnf_stats(stats, cnf);
+    stats.worker_sat_seconds = {0.0};
     stats.total_seconds = seconds_since(t_total);
     return stats;
   }
 
   // ---- Initial STP simulation and equivalence classes (line 3). --------
+  // The resimulation plan every shard absorbs counter-examples with is
+  // a snapshot of the AIG after the constant merges above.
   auto t_sim = clock_type::now();
   const core::stp_simulator stp_sim;
   sim::signature_store sig = stp_sim.simulate_aig(aig, patterns);
   equiv_classes classes;
   classes.build(aig, sig, sim::tail_mask(patterns.num_patterns()));
+  const sim::resim_plan plan = sim::make_resim_plan(aig);
   stats.sim_seconds += seconds_since(t_sim);
 
   // ---- Signature-guided SAT querying. ----------------------------------
@@ -861,11 +734,8 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // consistent assignment (phase saving evolves freely afterwards), so
   // its counter-example — a small deviation from exactly that behavior
   // — falls out with far fewer conflicts.  The capture is taken once,
-  // before any store trimming, and is engine-independent — both CE
-  // engines see identical hints, so the engine-equivalence invariant
-  // (identical models, identical CE trajectories) is intact.  The bits
-  // are shared read-only: in a parallel sweep every shard's manager
-  // seeds from the same capture.
+  // before any store trimming.  The bits are shared read-only: every
+  // shard's manager seeds from the same capture.
   std::shared_ptr<const std::vector<uint8_t>> phase_bits;
   if (params.use_signature_phase && sig.num_words() > 0u) {
     std::vector<uint8_t> bits(aig.size(), 0u);
@@ -890,38 +760,19 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   const std::vector<net::node> order = net::reverse_topo_order(aig);
   const uint32_t shards = params.effective_sat_shards();
 
-  if (shards <= 1u) {
-    // ---- Single-thread sweep: merges applied in place as proven. -----
-    hint_fn(cnf);
-    sweep_core core{aig,
-                    params,
-                    cnf,
-                    stats,
-                    stats.gates_before,
-                    std::move(patterns),
-                    std::move(sig),
-                    std::move(classes),
-                    /*deferred=*/nullptr};
-    core.run(order);
-    core.finalize_stats();
-    aig.cleanup_dangling();
-    stats.gates_after = aig.num_gates();
-    stats.worker_sat_seconds = {stats.sat_seconds};
-    stats.total_seconds = seconds_since(t_total);
-    return stats;
-  }
-
-  // ---- Parallel SAT phase: class-sharded sweeping. ---------------------
+  // ---- SAT phase: class-sharded sweeping. ------------------------------
   // The candidate classes are partitioned round-robin (ascending class
-  // id) into `shards` shards.  Classes never interact during querying —
-  // drivers come from the candidate's own class — so each shard sweeps
-  // its classes against the frozen AIG with fully private state: its
-  // own cnf_manager, its own copies of the pattern/signature stores and
-  // the class partition (non-owned classes dissolved), its own CE
-  // engine.  Proven merges are *recorded*, then committed below in
-  // ascending node-id order on this thread.  A shard's trajectory is a
-  // pure function of its inputs, so the sweep is byte-identical for a
-  // fixed shard count no matter how many threads execute it.
+  // id) into `shards` shards — one shard is the single-thread sweep.
+  // Classes never interact during querying — drivers come from the
+  // candidate's own class — so each shard sweeps its classes against
+  // the frozen AIG with fully private state: its own cnf_manager, its
+  // own copies of the pattern/signature stores and the class partition
+  // (non-owned classes dissolved).  Only the resimulation plan is
+  // shared, read-only.  Proven merges are *recorded*, then committed
+  // below in ascending node-id order on this thread.  A shard's
+  // trajectory is a pure function of its inputs, so the sweep is
+  // byte-identical for a fixed shard count no matter how many threads
+  // execute it.
   std::vector<uint32_t> owner_of_class(classes.num_class_ids(),
                                        ~uint32_t{0});
   {
@@ -948,15 +799,25 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   };
   std::vector<shard_result> shard_results(shards);
 
+  // A lone shard continues on the prologue's manager, which already
+  // holds the encoded cones and learnt clauses of the guided queries,
+  // and takes over the simulation state instead of copying it.  Several
+  // shards each start a fresh manager, so that no shard's trajectory
+  // depends on which shard would have inherited it.  A single worker
+  // runs its shards on the calling thread.
+  const bool lone_shard = shards == 1u;
   const uint32_t workers_used =
       std::min(std::max(params.threads, 1u), shards);
   {
-    worker_pool pool{workers_used};
+    worker_pool pool{workers_used > 1u ? workers_used : 0u};
     pool.run(shards, [&](std::size_t s) {
       shard_result& out = shard_results[s];
-      sat::cnf_manager shard_cnf{aig, cnf_params};
+      std::optional<sat::cnf_manager> fresh_cnf;
+      sat::cnf_manager& shard_cnf =
+          lone_shard ? cnf : fresh_cnf.emplace(aig, cnf_params);
       hint_fn(shard_cnf);
-      equiv_classes shard_classes = classes;
+      equiv_classes shard_classes =
+          lone_shard ? std::move(classes) : classes;
       for (uint32_t c = 0; c < shard_classes.num_class_ids(); ++c) {
         if (owner_of_class[c] != static_cast<uint32_t>(s)) {
           shard_classes.dissolve_class(c);
@@ -967,10 +828,11 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
                       shard_cnf,
                       out.stats,
                       stats.gates_before,
-                      patterns,
-                      sig,
+                      plan,
+                      lone_shard ? std::move(patterns) : patterns,
+                      lone_shard ? std::move(sig) : sig,
                       std::move(shard_classes),
-                      &out.records};
+                      out.records};
       core.run(shard_order[s]);
       core.finalize_stats();
       out.aborted = core.aborted();
@@ -981,7 +843,11 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // Counters are *sums over shards* on top of the prologue's (guided
   // patterns ran on the main manager): `sat_clauses_peak` in particular
   // is the sum of per-manager peaks, not a global simultaneous peak.
-  fill_cnf_stats(); // the prologue's SAT effort (guided patterns)
+  // A lone shard's manager counters already include the prologue's.
+  // `worker_sat_seconds` covers the shards only, never the prologue.
+  if (!lone_shard) {
+    fill_cnf_stats(stats, cnf); // the prologue's SAT effort
+  }
   stats.sat_shards = shards;
   stats.workers_used = workers_used;
   stats.worker_sat_seconds.assign(workers_used, 0.0);
@@ -997,12 +863,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     stats.ce_patterns += ss.ce_patterns;
     stats.undet_retries += ss.undet_retries;
     stats.undet_resolved += ss.undet_resolved;
-    stats.ce_gates_visited += ss.ce_gates_visited;
-    stats.ce_gates_scan_baseline += ss.ce_gates_scan_baseline;
-    stats.ce_targets_pruned += ss.ce_targets_pruned;
-    stats.has_ce_counters = stats.has_ce_counters || ss.has_ce_counters;
-    stats.ce_engine_escalated =
-        stats.ce_engine_escalated || ss.ce_engine_escalated;
     stats.sat_nodes_encoded += ss.sat_nodes_encoded;
     stats.sat_solver_rebuilds += ss.sat_solver_rebuilds;
     stats.sat_clauses_peak += ss.sat_clauses_peak;
@@ -1026,8 +886,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     stats.worker_sat_seconds[s % workers_used] += ss.sat_seconds;
     any_aborted = any_aborted || shard_results[s].aborted;
   }
-  stats.has_ce_engine = true;
-  stats.ce_engine_used = shard_results.front().stats.ce_engine_used;
   stats.has_store_counters = true;
   if (any_aborted && params.governor != nullptr) {
     stats.outcome = params.governor->outcome();

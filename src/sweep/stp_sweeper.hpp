@@ -18,16 +18,14 @@
 ///    remaining members are provably equivalent and merge without any
 ///    SAT call, and false members are split away without producing
 ///    counter-examples.
-/// 5. **STP counter-example simulation**: when SAT does return a CE, only
-///    nodes in equivalence classes are re-simulated, on a k-LUT network
-///    collapsed with the tree-cut algorithm (§III-B) — not the whole
-///    AIG.  Absorbing one CE is *output-sensitive*: a fanout-driven
-///    bitset worklist (sweep/ce_simulator.hpp) touches only the cone the
-///    CE disturbs.  Counter-example propagation is a selectable *engine*
-///    (sweep/ce_engine.hpp): profiling shows the collapsed view's build
-///    cost loses to plain whole-AIG word resimulation on sub-10k-gate
-///    instances, so `ce_engine = auto` dispatches by gate count; both
-///    engines are proven result-identical by the differential harness.
+/// 5. **Counter-example simulation by whole-AIG resimulation**: the
+///    paper re-simulates a CE on a k-LUT view collapsed with tree cuts
+///    (§III-B).  Here each CE recomputes the open signature word for
+///    every node in one vectorized pass
+///    (sim::resimulate_aig_all_last_word), as ABC's fraig does: the
+///    collapsed view gave identical results without saving measurable
+///    simulation time (bench/README.md).  The STP k-LUT simulator does
+///    the initial simulation.
 /// 6. **unDET handling with escalating retry**: the paper marks a
 ///    budget-exhausted candidate don't-touch permanently (lines 19-21);
 ///    here an `unknown` verdict *defers* the candidate into a retry
@@ -42,8 +40,8 @@
 ///    pool / cancellation); aborting applies only proven merges and
 ///    tags `sweep_stats::outcome`.
 /// 7. **Batched counter-example refinement** (classic FRAIG batching):
-///    CE bits are buffered into the open tail word by the event-driven
-///    single-bit pass, and classes are re-partitioned lazily — the
+///    CE bits are buffered into the open tail word by the resimulation
+///    pass, and classes are re-partitioned lazily — the
 ///    current candidate's class when it needs the fresh bits to make
 ///    progress, any other class when the loop advances to it, and all
 ///    classes at once when the word fills with 64 CEs — instead of
@@ -68,35 +66,6 @@ struct stp_sweep_params
   bool use_guided_patterns = true; ///< ablation B: false = random only
   bool use_window_resolution = true; ///< ablation: exhaustive windows
 
-  /// Counter-example propagation engine (sweep/ce_engine.hpp): `auto`
-  /// picks whole-AIG word resimulation below `ce_engine_gate_threshold`
-  /// gates and the collapsed k-LUT view at or above it; `collapsed` /
-  /// `resim` force one.  All three settings are result-identical — the
-  /// dispatch moves runtime, never merges.
-  ce_engine_kind ce_engine = ce_engine_kind::automatic;
-  uint32_t ce_engine_gate_threshold = 10'000;
-  /// Mid-sweep escalation, `auto` only: the size dispatch cannot see how
-  /// much of the network each counter-example disturbs, and on deep
-  /// random logic the collapsed view's per-CE worklist can visit a large
-  /// fraction of the needed gates — at which point one branch-free
-  /// whole-AIG word pass is cheaper.  When the *measured* average
-  /// visited-gates-per-CE exceeds `gates × ce_escalate_per_mille / 1000`
-  /// (checked once ≥ 64 CEs were absorbed), the sweep switches to the
-  /// resim engine; the switch is result-identical because the resim
-  /// engine recomputes the open word entirely from the pattern set.
-  /// 0 disables escalation.  Forced `collapsed`/`resim` never switch.
-  uint32_t ce_escalate_per_mille = 125;
-  /// Collapsed engine: prune collapse targets to class representatives
-  /// plus the fanout frontier; pruned members are answered through
-  /// recorded evaluation cones (result-identical, smaller collapsed
-  /// view).  false = every member stays a root (ablation baseline).
-  bool ce_prune_targets = true;
-  /// Collapsed engine: trailing pattern words simulated into the
-  /// collapsed view at build time.  Only the open word is ever re-read,
-  /// so 1 removes the build-time `store_peak_bytes` spike at scale;
-  /// 0 = simulate the full arena (the unbounded ablation baseline).
-  uint32_t ce_initial_words = 1;
-
   /// Ablation: false reverts to eager one-CE-per-word refinement (every
   /// counter-example immediately refines every class).  Both settings
   /// produce the same merges and final network; batching only changes
@@ -118,7 +87,7 @@ struct stp_sweep_params
   /// Signature-store word budget: when more than this many live words
   /// accumulate at a 64-CE word boundary, absorbed words (everything the
   /// equivalence classes already refined with) are trimmed from the
-  /// candidate and collapsed-CE stores.  0 = keep every word forever
+  /// candidate and resimulation stores.  0 = keep every word forever
   /// (the unbounded ablation baseline).
   uint32_t store_word_budget = 8;
 
@@ -164,16 +133,18 @@ struct stp_sweep_params
   /// \name Parallel SAT phase (class-sharded)
   /// \{
   /// Worker threads for the SAT phase.  The candidate classes are
-  /// partitioned into `effective_sat_shards()` shards; each shard is
-  /// swept against its own thread-local `sat::cnf_manager` (and private
-  /// copies of the signature/pattern state) over the *frozen* input
-  /// AIG, recording proven merges instead of applying them.  Proven
+  /// partitioned into `effective_sat_shards()` shards and swept over the
+  /// *frozen* input AIG, recording proven merges instead of applying
+  /// them.  A lone shard continues on the guided prologue's
+  /// `sat::cnf_manager` and takes over its signature/pattern state;
+  /// with several shards, each starts a fresh thread-local manager and
+  /// private copies of that state.  Proven
   /// merges are then committed on the calling thread in deterministic
   /// canonical order (ascending node id).  The sweep *trajectory* is a
   /// pure function of the shard count — running 4 shards on 1 thread or
   /// on 4 threads is byte-identical in every counter and in the result
-  /// network.  With ≤ 1 effective shard the single-thread in-place path
-  /// runs unchanged.
+  /// network.  A single-thread sweep is the one-shard case of the same
+  /// path.
   uint32_t threads = 1;
   /// Shard count of the parallel phase; 0 = one shard per thread.
   /// Fixing `sat_shards` while varying `threads` reproduces identical
@@ -225,7 +196,6 @@ struct stp_sweep_params
   /// scaling (the flat ablation baseline).
   uint32_t window_scale_gates = 30'000;
   uint32_t window_max_support_scaled = 19;
-  uint32_t collapse_limit = 8;   ///< tree-cut leaf bound for CE windows
 
   /// Per-round simulation budget scaling: tiny instances stop
   /// over-investing in simulation.  The effective initial pattern count

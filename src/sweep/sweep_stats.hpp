@@ -7,27 +7,6 @@
 
 namespace stps::sweep {
 
-/// Counter-example propagation engine of the STP sweeper (see
-/// sweep/ce_engine.hpp).  `automatic` dispatches by instance size:
-/// whole-AIG word resimulation below the gate threshold, the collapsed
-/// k-LUT view above it.
-enum class ce_engine_kind : uint8_t
-{
-  automatic = 0,
-  collapsed = 1,
-  resim = 2,
-};
-
-/// Stable name for logs/JSON ("auto", "collapsed", "resim").
-constexpr const char* ce_engine_name(ce_engine_kind kind) noexcept
-{
-  switch (kind) {
-    case ce_engine_kind::collapsed: return "collapsed";
-    case ce_engine_kind::resim: return "resim";
-    default: return "auto";
-  }
-}
-
 /// How a sweep ended (sweep/resource_governor.hpp).  Anything other
 /// than `complete` means the sweep wound down early — the returned
 /// network is still a *sound partial result* (only proven merges were
@@ -75,32 +54,9 @@ struct sweep_stats
   /// (deferred candidate, retry round) pair actually re-queried.
   uint64_t undet_retries = 0;
   /// Deferred candidates the retry rounds settled without a final
-  /// `dont_touch` (proven, refined away, or merged by a cascade).
+  /// `dont_touch` (proven, refined away, or split off its class).
   uint64_t undet_resolved = 0;
   /// \}
-
-  /// Gates evaluated by fanout-driven CE propagation (output-sensitive).
-  uint64_t ce_gates_visited = 0;
-  /// Gates the input-insensitive needed-set scan would have evaluated
-  /// for the same counter-examples (needed gates × CE count).
-  uint64_t ce_gates_scan_baseline = 0;
-  /// Class members answered through pruned evaluation cones instead of
-  /// collapse roots (collapsed engine only).
-  uint64_t ce_targets_pruned = 0;
-  /// True when the engine ran the collapsed CE simulator and the
-  /// counters above are defined; engines without them (fraig, the
-  /// whole-AIG resim engine) must omit the columns instead of printing
-  /// zeros (ratio tooling would divide by them).
-  bool has_ce_counters = false;
-
-  /// True for sweepers with a selectable CE engine (the STP sweeper);
-  /// `ce_engine_used` is then the engine the sweep *finished* with —
-  /// never `automatic`.  `ce_engine_escalated` marks sweeps that
-  /// started collapsed and switched to resim mid-sweep when the
-  /// measured per-CE disturbance crossed the escalation threshold.
-  bool has_ce_engine = false;
-  ce_engine_kind ce_engine_used = ce_engine_kind::collapsed;
-  bool ce_engine_escalated = false;
 
   /// \name Incremental-CNF counters (cnf_manager)
   /// \{
@@ -137,7 +93,7 @@ struct sweep_stats
   double sat_inprocess_seconds = 0.0; ///< wall-clock spent inprocessing
   /// \}
 
-  /// \name Signature-store memory counters (candidate + CE stores)
+  /// \name Signature-store memory counters (candidate + resim stores)
   /// \{
   bool has_store_counters = false; ///< engine tracks a word budget
   uint64_t store_words_live = 0;    ///< words still backed at sweep end
@@ -154,7 +110,8 @@ struct sweep_stats
   uint32_t sat_shards = 1;   ///< effective shard count of the SAT phase
   uint32_t workers_used = 1; ///< threads that actually ran shards
   /// Per-worker SAT time (size = workers_used; worker w summed over the
-  /// shards it ran).  Single-thread sweeps report {sat_seconds}.
+  /// shards it ran).  The guided prologue runs before the shards and is
+  /// never included, so single-thread and sharded rows read alike.
   std::vector<double> worker_sat_seconds;
   /// \}
 

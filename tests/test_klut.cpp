@@ -1,6 +1,4 @@
-#include "cut/tree_cuts.hpp"
 #include "gen/arithmetic.hpp"
-#include "gen/random_logic.hpp"
 #include "network/convert.hpp"
 #include "network/klut.hpp"
 #include "sim/bitwise_sim.hpp"
@@ -8,38 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 namespace {
 
 using stps::net::klut_network;
-
-/// Reference fanout lists recomputed from scratch out of the fanin
-/// lists: each gate once per distinct fanin, ids ascending.
-std::vector<std::vector<klut_network::node>>
-reference_fanouts(const klut_network& klut)
-{
-  std::vector<std::vector<klut_network::node>> ref(klut.size());
-  klut.foreach_gate([&](klut_network::node n) {
-    auto fis = klut.fanins(n);
-    std::sort(fis.begin(), fis.end());
-    fis.erase(std::unique(fis.begin(), fis.end()), fis.end());
-    for (const auto f : fis) {
-      ref[f].push_back(n);
-    }
-  });
-  return ref;
-}
-
-void expect_fanouts_consistent(const klut_network& klut)
-{
-  const auto ref = reference_fanouts(klut);
-  for (klut_network::node n = 0; n < klut.size(); ++n) {
-    EXPECT_EQ(klut.fanout(n), ref[n]) << "node " << n;
-    EXPECT_EQ(klut.fanout_count(n), ref[n].size()) << "node " << n;
-  }
-}
 
 TEST(Klut, ConstantsAndPis)
 {
@@ -100,48 +71,6 @@ TEST(Klut, AigConversionPreservesFunctions)
       EXPECT_EQ(va & mask, vk & mask) << "PO " << i << " word " << w;
     }
   }
-}
-
-TEST(Klut, FanoutListsTrackConstruction)
-{
-  klut_network klut;
-  const auto a = klut.create_pi();
-  const auto b = klut.create_pi();
-  EXPECT_TRUE(klut.fanout(a).empty());
-  const klut_network::node fis[2] = {a, b};
-  const auto g1 = klut.create_node(fis, stps::tt::make_and2());
-  const klut_network::node fis2[2] = {g1, b};
-  const auto g2 = klut.create_node(fis2, stps::tt::make_or2());
-  // A gate referencing the same fanin through both slots appears once.
-  const klut_network::node twice[2] = {g1, g1};
-  const auto g3 = klut.create_node(twice, stps::tt::make_and2());
-  klut.create_po(g2);
-  klut.create_po(g3);
-
-  EXPECT_EQ(klut.fanout(a), std::vector<klut_network::node>{g1});
-  EXPECT_EQ(klut.fanout(b), (std::vector<klut_network::node>{g1, g2}));
-  EXPECT_EQ(klut.fanout(g1), (std::vector<klut_network::node>{g2, g3}));
-  EXPECT_EQ(klut.fanout_count(g1), 2u);
-  EXPECT_TRUE(klut.fanout(g2).empty()); // PO references are not fanouts
-  expect_fanouts_consistent(klut);
-}
-
-TEST(Klut, FanoutListsConsistentAfterConversionAndCollapse)
-{
-  const auto aig = stps::gen::make_random_logic({12u, 9u, 700u, 55u, 25u});
-  const auto conv = stps::net::aig_to_klut(aig);
-  expect_fanouts_consistent(conv.klut);
-
-  // Collapsing to tree cuts rebuilds a fresh network node by node; its
-  // fanout lists must agree with its fanin lists too.
-  std::vector<klut_network::node> targets;
-  conv.klut.foreach_gate([&](klut_network::node n) {
-    if (n % 3u == 0u) {
-      targets.push_back(n);
-    }
-  });
-  const auto collapsed = stps::cut::collapse_to_cuts(conv.klut, targets, 8u);
-  expect_fanouts_consistent(collapsed.net);
 }
 
 TEST(Klut, ForeachVisitsInOrder)

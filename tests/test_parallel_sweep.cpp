@@ -65,13 +65,6 @@ std::vector<uint64_t> counters(const sweep::sweep_stats& s)
           static_cast<uint64_t>(s.outcome),
           s.undet_retries,
           s.undet_resolved,
-          s.ce_gates_visited,
-          s.ce_gates_scan_baseline,
-          s.ce_targets_pruned,
-          static_cast<uint64_t>(s.has_ce_counters),
-          static_cast<uint64_t>(s.has_ce_engine),
-          static_cast<uint64_t>(s.ce_engine_used),
-          static_cast<uint64_t>(s.ce_engine_escalated),
           s.sat_nodes_encoded,
           s.sat_solver_rebuilds,
           s.sat_clauses_peak,
@@ -166,8 +159,7 @@ TEST(ParallelSweep, ShardedSweepsAreSoundAndReachTheSameSize)
 
 TEST(ParallelSweep, DefaultShardCountFollowsThreads)
 {
-  // sat_shards = 0 means one shard per thread; threads = 1 must stay on
-  // the single-thread in-place path (sat_shards reported as 1).
+  // sat_shards = 0 means one shard per thread.
   net::aig_network aig = test_instance(7u);
   sweep::stp_sweep_params params;
   params.guided.base_patterns = 256u;
@@ -181,6 +173,51 @@ TEST(ParallelSweep, DefaultShardCountFollowsThreads)
   EXPECT_EQ(single.effective_sat_shards(), 1u);
   single.threads = 0u; // clamped
   EXPECT_EQ(single.effective_sat_shards(), 1u);
+}
+
+TEST(ParallelSweep, OneShardIsOneCodePath)
+{
+  // threads = 1 resolves to one shard whether sat_shards is 0 or 1, and
+  // the single-thread sweep is that shard of the sharded path: both
+  // settings give byte-identical counters and result networks.
+  for (const uint64_t seed : {9u, 10u}) {
+    std::vector<std::vector<uint64_t>> all_counters;
+    std::vector<std::vector<uint32_t>> all_fps;
+    for (const uint32_t shards : {0u, 1u}) {
+      net::aig_network aig = test_instance(seed);
+      sweep::stp_sweep_params params;
+      params.guided.base_patterns = 256u;
+      params.sat_shards = shards;
+      const auto stats = sweep::stp_sweep(aig, params);
+      EXPECT_EQ(stats.sat_shards, 1u);
+      EXPECT_EQ(stats.workers_used, 1u);
+      all_counters.push_back(counters(stats));
+      all_fps.push_back(fingerprint(aig));
+    }
+    EXPECT_EQ(all_counters[0], all_counters[1]) << "seed " << seed;
+    EXPECT_EQ(all_fps[0], all_fps[1]) << "seed " << seed;
+  }
+}
+
+TEST(ParallelSweep, WorkerSatSecondsExcludeThePrologue)
+{
+  // worker_sat_seconds covers the shards only, on one shard as on many:
+  // without the guided prologue it is all of sat_seconds, with it the
+  // prologue's SAT time makes up the difference.
+  const net::aig_network original = test_instance(11u);
+  sweep::stp_sweep_params params;
+  params.guided.base_patterns = 256u;
+  params.use_guided_patterns = false;
+  net::aig_network unguided = original;
+  const auto without = sweep::stp_sweep(unguided, params);
+  ASSERT_EQ(without.worker_sat_seconds.size(), 1u);
+  EXPECT_EQ(without.worker_sat_seconds[0], without.sat_seconds);
+
+  params.use_guided_patterns = true;
+  net::aig_network guided = original;
+  const auto with = sweep::stp_sweep(guided, params);
+  ASSERT_EQ(with.worker_sat_seconds.size(), 1u);
+  EXPECT_LT(with.worker_sat_seconds[0], with.sat_seconds);
 }
 
 TEST(ParallelSweep, SharedGovernorCancelsEveryWorker)

@@ -1,8 +1,10 @@
 #include "gen/arithmetic.hpp"
 #include "gen/random_logic.hpp"
+#include "gen/redundancy.hpp"
 #include "network/convert.hpp"
 #include "sim/bitwise_sim.hpp"
 #include "sim/patterns.hpp"
+#include "sweep/fraig.hpp"
 
 #include <gtest/gtest.h>
 
@@ -235,6 +237,89 @@ TEST(Simulate, IncrementalLastWordMatchesFullResim)
   }
   const auto full = sim::simulate_aig(aig, patterns);
   aig.foreach_gate([&](net::node n) { EXPECT_EQ(sig[n], full[n]); });
+}
+
+/// Appends 150 counter-example patterns to \p patterns one at a time —
+/// sparse flips like real CEs, every tenth one dense, crossing word
+/// boundaries — and after each one checks the open word that the
+/// plan-driven whole-AIG resimulation of \p aig wrote into \p sig
+/// against `simulate_aig` of \p reference on the final pattern set
+/// (bits beyond the patterns seen so far masked off).
+void expect_resim_tracks_simulation(const net::aig_network& aig,
+                                    const net::aig_network& reference,
+                                    sim::pattern_set patterns,
+                                    sim::signature_store sig, uint64_t seed)
+{
+  std::mt19937_64 rng{seed};
+  std::vector<std::vector<bool>> ces;
+  sim::pattern_set final_patterns = patterns;
+  for (uint32_t i = 0; i < 150u; ++i) {
+    std::bernoulli_distribution flip{i % 10u == 9u ? 0.5 : 0.1};
+    std::vector<bool> ce(aig.num_pis());
+    for (uint32_t j = 0; j < aig.num_pis(); ++j) {
+      ce[j] = flip(rng);
+    }
+    final_patterns.add_pattern(ce);
+    ces.push_back(std::move(ce));
+  }
+  const auto expected = sim::simulate_aig(reference, final_patterns);
+
+  const sim::resim_plan plan = sim::make_resim_plan(aig);
+  for (const std::vector<bool>& ce : ces) {
+    patterns.add_pattern(ce);
+    sim::resimulate_aig_all_last_word(aig, patterns, sig, plan);
+    const std::size_t last = patterns.num_words() - 1u;
+    const uint64_t mask = sim::tail_mask(patterns.num_patterns());
+    for (net::node n = 0; n < aig.size(); ++n) {
+      ASSERT_EQ(sig.word(n, last) & mask, expected.word(n, last) & mask)
+          << "node " << n << " after " << patterns.num_patterns()
+          << " patterns";
+    }
+  }
+}
+
+TEST(Resimulate, OpenWordInNodeMajorBaseMatchesSimulation)
+{
+  // Until the first 56 counter-examples fill it, the open word is the
+  // last word of the node-major base arena: the plan-driven call falls
+  // back to the scalar variant, then continues in word-major tails.
+  const auto aig = stps::gen::make_random_logic({14u, 10u, 600u, 5u, 25u});
+  const auto patterns = sim::pattern_set::random(aig.num_pis(), 200u, 5u);
+  auto sig = sim::simulate_aig(aig, patterns);
+  ASSERT_EQ(sig.base_words(), patterns.num_words());
+  expect_resim_tracks_simulation(aig, aig, patterns, std::move(sig), 5u);
+}
+
+TEST(Resimulate, OpenWordInWordMajorTailMatchesSimulation)
+{
+  // The sweeper's layout: absorbed words are born trimmed, and every
+  // counter-example word is a word-major tail block (vectorized path).
+  const auto aig = stps::gen::make_random_logic({14u, 10u, 600u, 23u, 25u});
+  const auto patterns = sim::pattern_set::random(aig.num_pis(), 200u, 23u);
+  sim::signature_store sig(aig.size(), 0u);
+  for (uint64_t w = 0; w < patterns.num_patterns() / 64u; ++w) {
+    sig.append_trimmed_word();
+  }
+  expect_resim_tracks_simulation(aig, aig, patterns, std::move(sig), 23u);
+}
+
+TEST(Resimulate, GatesKilledBySubstitutionKeepTheirFunction)
+{
+  // A fraig sweep kills gates through substitute_node; every node id,
+  // dead or alive, must still resimulate to its original function.
+  const auto original = stps::gen::inject_redundancy(
+      stps::gen::make_random_logic({14u, 10u, 600u, 91u, 25u}),
+      {8u, 4u, 91u});
+  net::aig_network swept = original;
+  const auto stats = sweep::fraig_sweep(swept, {256u, 1u, -1});
+  ASSERT_GT(stats.merges, 0u) << "fixture kills no gate";
+  const auto patterns = sim::pattern_set::random(swept.num_pis(), 200u, 91u);
+  sim::signature_store sig(swept.size(), 0u);
+  for (uint64_t w = 0; w < patterns.num_patterns() / 64u; ++w) {
+    sig.append_trimmed_word();
+  }
+  expect_resim_tracks_simulation(swept, original, patterns, std::move(sig),
+                                 91u);
 }
 
 TEST(Simulate, InputCountMismatchThrows)

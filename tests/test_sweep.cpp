@@ -150,8 +150,9 @@ TEST(StpSweep, AblationFlagsStillSound)
     params.guided.base_patterns = 256u;
     params.use_guided_patterns = variant != 0;
     params.use_window_resolution = variant != 1;
-    params.ce_engine = variant != 2 ? sweep::ce_engine_kind::automatic
-                                    : sweep::ce_engine_kind::collapsed;
+    if (variant == 2) {
+      params.store_word_budget = 0u; // keep every signature word
+    }
     sweep::stp_sweep(aig, params);
     const auto cec = sweep::check_equivalence(original, aig);
     EXPECT_TRUE(cec.equivalent) << "variant " << variant;
