@@ -16,53 +16,11 @@
 /// (paper: −91% satisfiable calls, −40% total calls, ~2× sim time,
 /// −35% total runtime).
 ///
-/// `--json <path>` additionally writes the per-benchmark counters
-/// (gates, SAT calls, SAT effort, sim/SAT/total seconds for both
-/// sweepers) and the geometric means as machine-readable JSON —
-/// the perf-trajectory convention: each PR regenerates BENCH_sweep.json
-/// so regressions show up in review (absolute seconds are
-/// machine-specific; compare ratios).
-///
-/// `--scale <n>` appends paper-scale instances (≥ 30k gates, wider
-/// arithmetic + deeper random logic; see bench/README.md) where the
-/// STP-vs-fraig runtime claim can re-emerge; 0 (the default) keeps the
-/// original scaled-down suite only.
-///
-/// `--ablation` additionally sweeps every instance with the
-/// incremental-CNF, store-budget, and signature-guided-SAT flags *off*
-/// (per-query scratch encoding, unbounded stores, no phase seeding,
-/// unrestricted decisions, flat window support, ungrouped round-2
-/// guidance, no learnt reduction or inprocessing), and asserts the
-/// result-gate counts match the flags-on run exactly — one re-sweep
-/// proves the flag and the SAT-guidance dimensions at once.  The JSON
-/// gains an `stp_flags_off` object and an `ablation_match` field per
-/// row.
-///
-/// `--only <substr>` keeps only benchmarks whose name contains the
-/// substring (repeatable) — used for the committed `--scale 3` smoke
-/// rows.
-///
-/// Budgets and interruption (see bench/README.md): `--deadline <sec>`
-/// bounds each sweep's wall-clock, `--conflict-budget <n>` caps each
-/// equivalence query (escalating retry then kicks in), and
-/// `--conflict-budget-total <n>` caps each sweep's global conflict
-/// pool.  SIGINT/SIGTERM trip the active sweep's governor: the
-/// in-flight row is dropped, completed rows are kept, and the `--json`
-/// file is still written with `"interrupted": true`.  Because the
-/// governor is shared by every worker of a parallel sweep, one SIGINT
-/// winds down all of them.
-///
-/// `--threads <n>` (default 1) runs the STP sweeps' SAT phase on n
-/// worker threads; `--shards <n>` fixes the class-shard count
-/// independently of the thread count (default: one shard per thread).
-/// The sweep trajectory is a function of the *shard* count only, so
-/// `--threads 4 --shards 4` and `--threads 1 --shards 4` emit
-/// byte-identical counters — the determinism pin.  STP rows gain
-/// `threads`/`sat_shards`/`workers_used`/`worker_sat_seconds` keys; the
-/// ablation re-sweep runs at the same thread/shard configuration.
-///
-/// `--help` prints the usage; an unknown flag, a missing value or a
-/// malformed number prints a message and exits with status 2.
+/// Every flag — `--json`, `--scale`, `--ablation`, `--only`, the
+/// budget and interruption flags, `--threads`/`--shards` — is documented
+/// once, in bench/README.md; `--help` prints the usage.  An unknown
+/// flag, a missing value or a malformed number prints a message and
+/// exits with status 2.
 #include "gen/benchmarks.hpp"
 #include "network/traversal.hpp"
 #include "sweep/cec.hpp"
@@ -120,91 +78,47 @@ struct json_row
   bool ablation_match = false;
 };
 
+void write_value(std::FILE* f, uint64_t v)
+{
+  std::fprintf(f, "%llu", static_cast<unsigned long long>(v));
+}
+void write_value(std::FILE* f, uint32_t v) { std::fprintf(f, "%u", v); }
+void write_value(std::FILE* f, double v) { std::fprintf(f, "%.6f", v); }
+void write_value(std::FILE* f, stps::sweep::sweep_outcome v)
+{
+  std::fprintf(f, "\"%s\"", stps::sweep::sweep_outcome_name(v));
+}
+void write_value(std::FILE* f, const std::vector<double>& v)
+{
+  std::fputc('[', f);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::fprintf(f, "%s%.6f", i == 0u ? "" : ", ", v[i]);
+  }
+  std::fputc(']', f);
+}
+
+/// One engine object: every counter of the sweep_stats counter table
+/// whose scope the engine fills — fraig has no phase seeding, shards or
+/// word budget, so it omits the STP-only and store keys.
 void write_engine_json(std::FILE* f, const char* key,
                        const stps::sweep::sweep_stats& s)
 {
-  std::fprintf(f,
-               "      \"%s\": {\"sat_calls_total\": %llu, "
-               "\"sat_calls_satisfiable\": %llu, \"merges\": %llu, ",
-               key, static_cast<unsigned long long>(s.sat_calls_total),
-               static_cast<unsigned long long>(s.sat_calls_satisfiable),
-               static_cast<unsigned long long>(s.merges));
-  // Unified unDET accounting, emitted for BOTH engines: permanent
-  // give-ups, escalating-retry attempts, retries that settled, and how
-  // the sweep ended (complete vs deadline/budget/cancelled partial).
-  std::fprintf(f,
-               "\"dont_touch\": %llu, \"undet_retries\": %llu, "
-               "\"undet_resolved\": %llu, \"sweep_outcome\": \"%s\", ",
-               static_cast<unsigned long long>(s.dont_touch),
-               static_cast<unsigned long long>(s.undet_retries),
-               static_cast<unsigned long long>(s.undet_resolved),
-               stps::sweep::sweep_outcome_name(s.outcome));
-  std::fprintf(f,
-               "\"sat_nodes_encoded\": %llu, \"sat_solver_rebuilds\": %llu, "
-               "\"sat_clauses_peak\": %llu, ",
-               static_cast<unsigned long long>(s.sat_nodes_encoded),
-               static_cast<unsigned long long>(s.sat_solver_rebuilds),
-               static_cast<unsigned long long>(s.sat_clauses_peak));
-  // Solver search effort, accumulated across garbage epochs — the
-  // satisfiable-call *cost* trajectory the signature-phase and
-  // cone-scoping policies target.
-  std::fprintf(f,
-               "\"sat_conflicts\": %llu, \"sat_decisions\": %llu, "
-               "\"sat_restarts\": %llu, ",
-               static_cast<unsigned long long>(s.sat_conflicts),
-               static_cast<unsigned long long>(s.sat_decisions),
-               static_cast<unsigned long long>(s.sat_restarts));
-  // Clause-database policy counters (reduce_db + binary graph +
-  // between-query inprocessing), accumulated across garbage epochs and
-  // shards like the search counters above.  Emitted for both engines —
-  // the solver policies are engine-independent.
-  std::fprintf(f,
-               "\"sat_learnts_reduced\": %llu, \"sat_lbd_sum\": %llu, "
-               "\"sat_binary_clauses\": %llu, \"sat_lits_collapsed\": %llu, "
-               "\"sat_clauses_subsumed\": %llu, "
-               "\"sat_inprocess_seconds\": %.6f, ",
-               static_cast<unsigned long long>(s.sat_learnts_reduced),
-               static_cast<unsigned long long>(s.sat_lbd_sum),
-               static_cast<unsigned long long>(s.sat_binary_clauses),
-               static_cast<unsigned long long>(s.sat_lits_collapsed),
-               static_cast<unsigned long long>(s.sat_clauses_subsumed),
-               s.sat_inprocess_seconds);
-  // Keys only the STP sweeper defines — fraig has no phase-seeding
-  // policy and stays single-threaded, so it omits them: seeded phases
-  // and the SAT-phase accounting.  At threads > 1 the *_seconds keys
-  // are per-worker sums, and SAT counters are sums over per-shard
-  // managers (learnt-clause state is per manager, so totals differ
-  // between shard counts — compare ratios within one configuration; see
-  // bench/README.md).
-  if (!s.worker_sat_seconds.empty()) {
-    std::fprintf(f,
-                 "\"phase_seed_words\": %llu, \"threads\": %u, "
-                 "\"sat_shards\": %u, \"workers_used\": %u, "
-                 "\"worker_sat_seconds\": [",
-                 static_cast<unsigned long long>(s.phase_seed_words),
-                 s.threads, s.sat_shards, s.workers_used);
-    for (std::size_t w = 0; w < s.worker_sat_seconds.size(); ++w) {
-      std::fprintf(f, "%s%.6f", w == 0u ? "" : ", ",
-                   s.worker_sat_seconds[w]);
-    }
-    std::fprintf(f, "], ");
-  }
-  if (s.has_store_counters) {
-    std::fprintf(f,
-                 "\"store_words_live\": %llu, \"store_words_trimmed\": %llu, "
-                 "\"store_peak_bytes\": %llu, "
-                 "\"pattern_words_live\": %llu, "
-                 "\"pattern_words_recycled\": %llu, ",
-                 static_cast<unsigned long long>(s.store_words_live),
-                 static_cast<unsigned long long>(s.store_words_trimmed),
-                 static_cast<unsigned long long>(s.store_peak_bytes),
-                 static_cast<unsigned long long>(s.pattern_words_live),
-                 static_cast<unsigned long long>(s.pattern_words_recycled));
-  }
-  std::fprintf(f,
-               "\"sim_seconds\": %.6f, \"sat_seconds\": %.6f, "
-               "\"total_seconds\": %.6f}",
-               s.sim_seconds, s.sat_seconds, s.total_seconds);
+  using stps::sweep::counter_scope;
+  std::fprintf(f, "      \"%s\": {", key);
+  const char* sep = "";
+  stps::sweep::for_each_counter(
+      [&](const char* name, auto field, counter_scope scope) {
+        const bool emitted =
+            scope == counter_scope::all ||
+            (scope == counter_scope::stp && !s.worker_sat_seconds.empty()) ||
+            (scope == counter_scope::store && s.has_store_counters);
+        if (emitted) {
+          std::fprintf(f, "%s\"%s\": ", sep, name);
+          write_value(f, s.*field);
+          sep = ", ";
+        }
+      });
+  std::fputc('}', f);
 }
 
 bool write_json(const std::string& path, uint64_t base_patterns,

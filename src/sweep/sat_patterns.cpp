@@ -4,19 +4,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <unordered_map>
+#include <utility>
 
 namespace stps::sweep {
 
 namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double seconds_since(clock_type::time_point start)
-{
-  return std::chrono::duration<double>(clock_type::now() - start).count();
-}
 
 /// Number of ones in a signature, respecting the pattern tail.
 /// Word-at-a-time access stays valid after witness words were appended
@@ -74,7 +67,7 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   // up-to-date signatures.  Near-constant gates are strongly correlated
   // — one witness typically toggles many of them at once — and with
   // stale signatures each used to cost its own satisfiable SAT query.
-  auto t_sim = clock_type::now();
+  auto t_sim = sweep_clock::now();
   sim::signature_store sig = sim::simulate_aig(aig, result.patterns);
   result.sim_seconds += seconds_since(t_sim);
 
@@ -105,7 +98,7 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   }
 
   const auto absorb_witness = [&](const std::vector<bool>& witness) {
-    const auto t_ce = clock_type::now();
+    const auto t_ce = sweep_clock::now();
     result.patterns.add_pattern(witness);
     sim::resimulate_aig_last_word(aig, result.patterns, sig);
     result.sim_seconds += seconds_since(t_ce);
@@ -131,7 +124,7 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
       ++result.sat_calls;
       // One query settles it: SAT hands back a witness pattern breaking
       // the false candidacy, UNSAT proves the constant.
-      const auto t_sat = clock_type::now();
+      const auto t_sat = sweep_clock::now();
       const sat::result r = cnf.prove_constant(
           net::signal{n, false}, looks_constant, config.conflict_budget);
       result.sat_seconds += seconds_since(t_sat);
@@ -167,7 +160,7 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   const auto query_gate = [&](net::node n, bool toward_ones) {
     ++queries;
     ++result.sat_calls;
-    const auto t_sat = clock_type::now();
+    const auto t_sat = sweep_clock::now();
     const auto witness = cnf.find_assignment(
         net::signal{n, false}, toward_ones, config.conflict_budget);
     result.sat_seconds += seconds_since(t_sat);
@@ -250,6 +243,29 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   }
 
   return result;
+}
+
+sim::pattern_set initial_patterns(net::aig_network& aig,
+                                  sat::cnf_manager& cnf,
+                                  const guided_pattern_config& config,
+                                  bool guided, sweep_stats& stats)
+{
+  if (!guided) {
+    return sim::pattern_set::random(aig.num_pis(), config.base_patterns,
+                                    config.seed);
+  }
+  guided_pattern_result result = sat_guided_patterns(aig, cnf, config);
+  stats.sat_calls_total += result.sat_calls;
+  stats.sim_seconds += result.sim_seconds;
+  stats.sat_seconds += result.sat_seconds;
+  for (const auto& [n, value] : result.proven_constants) {
+    if (!aig.is_dead(n)) {
+      ++stats.constant_merges;
+      ++stats.merges;
+      aig.substitute_node(n, aig.get_constant(value));
+    }
+  }
+  return std::move(result.patterns);
 }
 
 } // namespace stps::sweep

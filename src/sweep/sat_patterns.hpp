@@ -20,6 +20,7 @@
 #include "sat/cnf_manager.hpp"
 #include "sim/patterns.hpp"
 #include "sweep/resource_governor.hpp"
+#include "sweep/sweep_stats.hpp"
 
 #include <cstdint>
 #include <utility>
@@ -75,5 +76,14 @@ struct guided_pattern_result
 guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
                                           sat::cnf_manager& cnf,
                                           const guided_pattern_config& config);
+
+/// Alg. 2 lines 2-3, shared by both sweepers: runs both guidance rounds
+/// (\p guided) or draws `config.base_patterns` random patterns,
+/// substitutes every proven constant into \p aig, and books the calls,
+/// merges and seconds in \p stats.  Returns the initial pattern set.
+sim::pattern_set initial_patterns(net::aig_network& aig,
+                                  sat::cnf_manager& cnf,
+                                  const guided_pattern_config& config,
+                                  bool guided, sweep_stats& stats);
 
 } // namespace stps::sweep

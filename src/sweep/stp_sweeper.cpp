@@ -4,13 +4,12 @@
 #include "network/traversal.hpp"
 #include "sat/cnf_manager.hpp"
 #include "sim/bitwise_sim.hpp"
+#include "sweep/candidate_loop.hpp"
 #include "sweep/equiv_classes.hpp"
 #include "sweep/tfi_manager.hpp"
 #include "sweep/worker_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -21,44 +20,12 @@ namespace stps::sweep {
 
 namespace {
 
-using clock_type = std::chrono::steady_clock;
-
-double seconds_since(clock_type::time_point start)
-{
-  return std::chrono::duration<double>(clock_type::now() - start).count();
-}
-
-/// Writes \p cnf's encode and search counters into \p stats (assignment
-/// semantics: one manager's whole life).
-void fill_cnf_stats(sweep_stats& stats, const sat::cnf_manager& cnf)
-{
-  stats.sat_nodes_encoded = cnf.nodes_encoded();
-  stats.sat_solver_rebuilds = cnf.rebuilds();
-  stats.sat_clauses_peak = cnf.clauses_peak();
-  const sat::solver_stats solver_totals = cnf.solver_statistics();
-  stats.sat_conflicts = solver_totals.conflicts;
-  stats.sat_decisions = solver_totals.decisions;
-  stats.sat_restarts = solver_totals.restarts;
-  stats.sat_learnts_reduced = solver_totals.learnts_reduced;
-  stats.sat_lbd_sum = solver_totals.lbd_sum;
-  stats.sat_binary_clauses = solver_totals.binary_clauses;
-  stats.sat_lits_collapsed = solver_totals.lits_collapsed;
-  stats.sat_clauses_subsumed = solver_totals.clauses_subsumed;
-  stats.sat_inprocess_seconds = solver_totals.inprocess_seconds;
-  stats.phase_seed_words = cnf.phase_seeds();
-}
-
 /// Exact window resolution by one word-parallel exhaustive simulation
-/// over the *union* cone of a class (§IV-A, "< 16 leaves").
-///
-/// The previous implementation composed a full truth table per member
-/// (`cut::cut_function`), re-walking the shared cone once per member and
-/// allocating up-to-2^15-bit tables along the way.  Simulating the union
-/// cone once — 64 exhaustive patterns per word, every member read off
-/// the same pass — pays the cone cost a single time and allocates
-/// nothing beyond reusable scratch.  Two members get equal keys iff
+/// over the *union* cone of a class (§IV-A, "< 16 leaves"): 64
+/// exhaustive patterns per word, every member read off the same pass,
+/// so the shared cone is paid once.  Two members get equal keys iff
 /// their phase-normalized exhaustive signatures (= truth tables over the
-/// window leaves, leaf i = variable i) are identical, exactly as before.
+/// window leaves, leaf i = variable i) are identical.
 class window_resolver
 {
 public:
@@ -199,27 +166,18 @@ struct merge_record
   net::signal target;
 };
 
-/// How one candidate's processing ended (escalating unDET retry +
-/// governed wind-down; see stp_sweeper.hpp point 6).
-enum class cand_status : uint8_t
-{
-  settled,  ///< merged, refined away, kept as representative, ...
-  gave_up,  ///< unknown with no rounds left: final dont_touch
-  deferred, ///< unknown: stays in its class, queued for a retry round
-  stopped,  ///< governor tripped mid-processing: wind the sweep down
-};
-
 /// One shard's SAT-phase pass over a candidate order: the class
 /// machinery, counter-example resimulation, window resolution, and the
 /// candidate/retry loops of Alg. 2, operating on *owned*
 /// pattern/signature/class state.
 ///
 /// The AIG is frozen (shared read-only by all shards) and proven merges
-/// append a `merge_record` instead of rewiring it.  Each shard
-/// constructs its own core over private copies of the simulation state
-/// and a private `sat::cnf_manager`, so a shard's trajectory is a pure
-/// function of its inputs — independent of how shards are scheduled
-/// onto threads.
+/// append a `merge_record` instead of rewiring it.  A lone shard takes
+/// over the prologue's simulation state and continues on its
+/// `sat::cnf_manager`; with several shards, each core works on private
+/// copies of that state and a fresh manager of its own.  Either way a
+/// shard's trajectory is a pure function of its inputs — independent of
+/// how shards are scheduled onto threads.
 class sweep_core
 {
 public:
@@ -247,79 +205,14 @@ public:
   /// the escalating unDET retry rounds.
   void run(std::span<const net::node> order)
   {
-    // Deferral is live only when a finite per-query budget can actually
-    // produce unknowns — with the unlimited default the queue stays
-    // empty and the loop below is byte-identical to single-shot marking.
-    const bool retries_on =
-        params_.conflict_budget >= 0 && params_.undet_retry_rounds > 0u;
-    std::vector<net::node> deferred;
-
-    for (const net::node n : order) {
-      if (stopped()) {
-        aborted_ = true;
-        break;
-      }
-      const cand_status status =
-          process_candidate(n, params_.conflict_budget, retries_on);
-      if (status == cand_status::deferred) {
-        deferred.push_back(n);
-      } else if (status == cand_status::stopped) {
-        aborted_ = true;
-        break;
-      }
-    }
-
-    // ---- Escalating unDET retry rounds (stp_sweeper.hpp point 6). ----
-    // Each round re-queries the still-deferred candidates with the
-    // budget multiplied by `undet_budget_factor`; the last round may no
-    // longer defer, so every survivor settles or ends as a final
-    // dont_touch.
-    const int64_t factor =
-        std::max<int64_t>(int64_t{params_.undet_budget_factor}, 1);
-    int64_t retry_budget = params_.conflict_budget;
-    std::vector<net::node> still_deferred;
-    for (uint32_t round = 1; round <= params_.undet_retry_rounds &&
-                             !deferred.empty() && !aborted_;
-         ++round) {
-      retry_budget =
-          retry_budget > std::numeric_limits<int64_t>::max() / factor
-              ? std::numeric_limits<int64_t>::max()
-              : retry_budget * factor;
-      const bool more_rounds = round < params_.undet_retry_rounds;
-      still_deferred.clear();
-      for (const net::node n : deferred) {
-        if (stopped()) {
-          aborted_ = true;
-          break;
-        }
-        if (classes_.class_of(n) == equiv_classes::no_class) {
-          // Refinement split it off its class while it sat in the queue.
-          ++stats_.undet_resolved;
-          continue;
-        }
-        ++stats_.undet_retries;
-        switch (process_candidate(n, retry_budget, more_rounds)) {
-          case cand_status::settled:
-            ++stats_.undet_resolved;
-            break;
-          case cand_status::deferred:
-            still_deferred.push_back(n);
-            break;
-          case cand_status::stopped:
-            aborted_ = true;
-            break;
-          case cand_status::gave_up:
-            break;
-        }
-        if (aborted_) {
-          break;
-        }
-      }
-      std::swap(deferred, still_deferred);
-    }
-    // Candidates still deferred after an abort are left unresolved —
-    // the sweep never got to decide them, which is not the same as
-    // unDET.
+    aborted_ = run_candidate_loop(
+        order, params_, stats_,
+        [&](net::node n) {
+          return classes_.class_of(n) == equiv_classes::no_class;
+        },
+        [&](net::node n, int64_t budget, bool allow_defer) {
+          return process_candidate(n, budget, allow_defer);
+        });
   }
 
   bool aborted() const noexcept { return aborted_; }
@@ -342,11 +235,6 @@ public:
   }
 
 private:
-  bool stopped() const
-  {
-    return params_.governor != nullptr && params_.governor->should_stop();
-  }
-
   /// Books a proven merge of \p n onto \p driver (shared counter
   /// bookkeeping of the window and UNSAT paths) and records it for the
   /// deterministic commit pass.
@@ -496,7 +384,7 @@ private:
     // members over the common support decide the class once and for
     // all.  One word-parallel pass over the members' union cone serves
     // every member (window_resolver above).
-    const auto t_win = clock_type::now();
+    const auto t_win = sweep_clock::now();
     resolve_members_scratch_.assign(members.begin(), members.end());
     resolver_.group_keys(aig_, classes_, resolve_members_scratch_,
                          support_scratch_, resolve_keys_scratch_);
@@ -535,7 +423,7 @@ private:
       // Conditions (b)/(c): the candidate's class must see every
       // buffered counter-example bit before its membership is trusted.
       if (class_stale(c)) {
-        const auto t_sim = clock_type::now();
+        const auto t_sim = sweep_clock::now();
         refine_one_class(c);
         stats_.sim_seconds += seconds_since(t_sim);
         c = classes_.class_of(n);
@@ -569,7 +457,7 @@ private:
         return cand_status::settled;
       }
 
-      const auto t_sat = clock_type::now();
+      const auto t_sat = sweep_clock::now();
       ++stats_.sat_calls_total;
       const sat::result r = cnf_.prove_equivalent(
           net::signal{n, false}, net::signal{driver, false}, complement,
@@ -581,7 +469,7 @@ private:
         return cand_status::settled;
       }
       if (r == sat::result::unknown) {
-        if (stopped()) {
+        if (governor_stopped(params_)) {
           // Governed wind-down, not a hard query: the candidate is
           // neither proven nor abandoned — leave it untouched.
           return cand_status::stopped;
@@ -599,7 +487,7 @@ private:
       // (a)/(b)/(c) above.
       ++stats_.sat_calls_satisfiable;
       ++stats_.ce_patterns;
-      const auto t_sim = clock_type::now();
+      const auto t_sim = sweep_clock::now();
       const std::vector<bool> ce = cnf_.model_inputs();
       if (patterns_.num_patterns() % 64u == 0u) {
         refine_all_classes();  // condition (a): word full, flush
@@ -607,12 +495,6 @@ private:
       }
       patterns_.add_pattern(ce);
       absorb_ce();
-      if (!params_.use_batched_ce_refinement) {
-        // Ablation: eager per-CE refinement (the seed's behavior),
-        // through the same sync + dense-refinement path as the
-        // batched flush so the two modes cannot drift.
-        refine_all_classes();
-      }
       stats_.sim_seconds += seconds_since(t_sim);
     }
   }
@@ -648,7 +530,7 @@ private:
 sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
 {
   sweep_stats stats;
-  const auto t_total = clock_type::now();
+  const auto t_total = sweep_clock::now();
   stats.gates_before = aig.num_gates();
   stats.levels_before = net::depth(aig);
   stats.threads = std::max(params.threads, 1u);
@@ -665,11 +547,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   cnf_params.faults = params.faults;
   sat::cnf_manager cnf{aig, cnf_params};
 
-  // Deadline/budget/cancellation poll.
-  const auto stopped = [governor = params.governor]() {
-    return governor != nullptr && governor->should_stop();
-  };
-
   // ---- Initial patterns (Alg. 2 line 2) + constant propagation (line 3).
   // The per-round simulation budget scales with the gate count (capped at
   // guided.base_patterns), so tiny instances stop over-investing in
@@ -681,27 +558,10 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
       params.effective_round2_queries(aig.num_gates());
   guided_config.use_signature_phase = params.use_signature_phase;
   guided_config.governor = params.governor;
-  sim::pattern_set patterns;
-  if (params.use_guided_patterns) {
-    guided_pattern_result guided = sat_guided_patterns(aig, cnf,
-                                                       guided_config);
-    patterns = std::move(guided.patterns);
-    stats.sat_calls_total += guided.sat_calls;
-    stats.sim_seconds += guided.sim_seconds;
-    stats.sat_seconds += guided.sat_seconds;
-    for (const auto& [n, value] : guided.proven_constants) {
-      if (!aig.is_dead(n)) {
-        ++stats.constant_merges;
-        ++stats.merges;
-        aig.substitute_node(n, aig.get_constant(value));
-      }
-    }
-  } else {
-    patterns = sim::pattern_set::random(
-        aig.num_pis(), guided_config.base_patterns, guided_config.seed);
-  }
+  sim::pattern_set patterns = initial_patterns(
+      aig, cnf, guided_config, params.use_guided_patterns, stats);
 
-  if (stopped()) {
+  if (governor_stopped(params)) {
     // Aborted during pattern generation: the constants applied above
     // are each a completed UNSAT proof, so the network is already a
     // sound partial result — finalize without building the class
@@ -718,7 +578,7 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // ---- Initial STP simulation and equivalence classes (line 3). --------
   // The resimulation plan every shard absorbs counter-examples with is
   // a snapshot of the AIG after the constant merges above.
-  auto t_sim = clock_type::now();
+  auto t_sim = sweep_clock::now();
   const core::stp_simulator stp_sim;
   sim::signature_store sig = stp_sim.simulate_aig(aig, patterns);
   equiv_classes classes;
@@ -854,35 +714,7 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   bool any_aborted = false;
   for (uint32_t s = 0; s < shards; ++s) {
     const sweep_stats& ss = shard_results[s].stats;
-    stats.sat_calls_satisfiable += ss.sat_calls_satisfiable;
-    stats.sat_calls_total += ss.sat_calls_total;
-    stats.merges += ss.merges;
-    stats.constant_merges += ss.constant_merges;
-    stats.window_merges += ss.window_merges;
-    stats.dont_touch += ss.dont_touch;
-    stats.ce_patterns += ss.ce_patterns;
-    stats.undet_retries += ss.undet_retries;
-    stats.undet_resolved += ss.undet_resolved;
-    stats.sat_nodes_encoded += ss.sat_nodes_encoded;
-    stats.sat_solver_rebuilds += ss.sat_solver_rebuilds;
-    stats.sat_clauses_peak += ss.sat_clauses_peak;
-    stats.sat_conflicts += ss.sat_conflicts;
-    stats.sat_decisions += ss.sat_decisions;
-    stats.sat_restarts += ss.sat_restarts;
-    stats.sat_learnts_reduced += ss.sat_learnts_reduced;
-    stats.sat_lbd_sum += ss.sat_lbd_sum;
-    stats.sat_binary_clauses += ss.sat_binary_clauses;
-    stats.sat_lits_collapsed += ss.sat_lits_collapsed;
-    stats.sat_clauses_subsumed += ss.sat_clauses_subsumed;
-    stats.sat_inprocess_seconds += ss.sat_inprocess_seconds;
-    stats.phase_seed_words += ss.phase_seed_words;
-    stats.store_words_live += ss.store_words_live;
-    stats.store_words_trimmed += ss.store_words_trimmed;
-    stats.store_peak_bytes += ss.store_peak_bytes;
-    stats.pattern_words_live += ss.pattern_words_live;
-    stats.pattern_words_recycled += ss.pattern_words_recycled;
-    stats.sim_seconds += ss.sim_seconds;
-    stats.sat_seconds += ss.sat_seconds;
+    add_counters(stats, ss);
     stats.worker_sat_seconds[s % workers_used] += ss.sat_seconds;
     any_aborted = any_aborted || shard_results[s].aborted;
   }

@@ -41,11 +41,10 @@
 ///    tags `sweep_stats::outcome`.
 /// 7. **Batched counter-example refinement** (classic FRAIG batching):
 ///    CE bits are buffered into the open tail word by the resimulation
-///    pass, and classes are re-partitioned lazily — the
-///    current candidate's class when it needs the fresh bits to make
-///    progress, any other class when the loop advances to it, and all
-///    classes at once when the word fills with 64 CEs — instead of
-///    paying a full-word re-simulation + global refinement per CE.
+///    pass, and classes are re-partitioned lazily — the current
+///    candidate's class when it needs the fresh bits to make progress,
+///    any other class when the loop advances to it, and all classes at
+///    once when the word fills with 64 CEs.
 /// 8. **Size-scaled budgets**: the initial pattern budget and the
 ///    round-2 guided-query budget scale with gate count (capped), so
 ///    small instances stop over-investing in simulation and guided SAT.
@@ -65,13 +64,6 @@ struct stp_sweep_params
   guided_pattern_config guided{};  ///< initial pattern generation
   bool use_guided_patterns = true; ///< ablation B: false = random only
   bool use_window_resolution = true; ///< ablation: exhaustive windows
-
-  /// Ablation: false reverts to eager one-CE-per-word refinement (every
-  /// counter-example immediately refines every class).  Both settings
-  /// produce the same merges and final network; batching only changes
-  /// when the partition work is paid — both run through the same dense
-  /// refinement core.
-  bool use_batched_ce_refinement = true;
 
   /// Ablation: false tears the SAT solver down before *every* query, so
   /// each query re-encodes its whole union cone from scratch — the
@@ -197,43 +189,26 @@ struct stp_sweep_params
   uint32_t window_scale_gates = 30'000;
   uint32_t window_max_support_scaled = 19;
 
-  /// Per-round simulation budget scaling: tiny instances stop
-  /// over-investing in simulation.  The effective initial pattern count
-  /// is `guided.base_patterns` capped from below by scaling with the
-  /// gate count (`pattern_budget_per_mille` patterns per 1000 gates,
-  /// floored at `min_pattern_budget`, rounded up to a whole 64-pattern
-  /// word).  0 disables scaling and always uses `guided.base_patterns`.
-  uint32_t pattern_budget_per_mille = 250;
-  uint64_t min_pattern_budget = 128;
-  /// Round-2 guided queries (each adds one pattern) scale the same way:
-  /// small circuits have few false candidates to break up, and at the
-  /// seed's flat 512-query budget the guided SAT time exceeded what the
-  /// extra patterns saved.  Paper-scale instances still reach
-  /// `guided.max_round2_queries`.  0 disables scaling.
-  uint32_t round2_queries_per_mille = 16;
-  std::size_t min_round2_queries = 32;
-
   /// Initial pattern count actually used for a circuit of
-  /// \p num_gates gates.
+  /// \p num_gates gates.  Tiny instances stop over-investing in
+  /// simulation: 250 patterns per 1000 gates, floored at 128, rounded up
+  /// to a whole 64-pattern word, capped at `guided.base_patterns`.
   uint64_t effective_pattern_budget(uint64_t num_gates) const
   {
-    if (pattern_budget_per_mille == 0u) {
-      return guided.base_patterns;
-    }
-    uint64_t want = num_gates * pattern_budget_per_mille / 1000u;
-    want = std::max(want, min_pattern_budget);
+    uint64_t want = std::max<uint64_t>(num_gates * 250u / 1000u, 128u);
     want = (want + 63u) / 64u * 64u;
     return std::min(want, guided.base_patterns);
   }
 
-  /// Round-2 guided-query budget for a circuit of \p num_gates gates.
+  /// Round-2 guided-query budget (each query adds one pattern) for a
+  /// circuit of \p num_gates gates: 16 per 1000 gates, floored at 32,
+  /// capped at `guided.max_round2_queries`.  Small circuits have few
+  /// false candidates to break up, and at a flat 512-query budget the
+  /// guided SAT time exceeded what the extra patterns saved.
   std::size_t effective_round2_queries(uint64_t num_gates) const
   {
-    if (round2_queries_per_mille == 0u) {
-      return guided.max_round2_queries;
-    }
-    const std::size_t want = std::max<std::size_t>(
-        min_round2_queries, num_gates * round2_queries_per_mille / 1000u);
+    const std::size_t want =
+        std::max<std::size_t>(num_gates * 16u / 1000u, 32u);
     return std::min(want, guided.max_round2_queries);
   }
 

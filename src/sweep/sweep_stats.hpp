@@ -2,10 +2,24 @@
 /// \brief Counters shared by both sweepers — the columns of Table II.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
+namespace stps::sat {
+class cnf_manager;
+} // namespace stps::sat
+
 namespace stps::sweep {
+
+/// The clock every sweep phase timer reads.
+using sweep_clock = std::chrono::steady_clock;
+
+/// Seconds elapsed on sweep_clock since \p start.
+inline double seconds_since(sweep_clock::time_point start)
+{
+  return std::chrono::duration<double>(sweep_clock::now() - start).count();
+}
 
 /// How a sweep ended (sweep/resource_governor.hpp).  Anything other
 /// than `complete` means the sweep wound down early — the returned
@@ -119,5 +133,77 @@ struct sweep_stats
   double sat_seconds = 0.0;
   double total_seconds = 0.0; ///< "Total runtime"
 };
+
+/// Which engine objects of the bench JSON (bench/table2_sweeping.cpp)
+/// carry a counter.
+enum class counter_scope : uint8_t
+{
+  all,      ///< every engine object, fraig and STP alike
+  stp,      ///< STP sweeper only: present when `worker_sat_seconds` is set
+  store,    ///< present when `has_store_counters` is set
+  internal, ///< kept in sweep_stats, not emitted per engine
+};
+
+/// The one list of sweep_stats counters, in bench-JSON key order: calls
+/// `fn(name, &sweep_stats::field, scope)` once per counter.  The shard
+/// merge (`add_counters`), the JSON emitter and the determinism tests
+/// all iterate it, so a new counter is one line here.
+///
+/// SAT counters of a sharded sweep are sums over per-shard managers
+/// (learnt-clause state is per manager), and `*_seconds` are CPU sums
+/// over the shards next to a wall-clock `total_seconds`.
+template <typename Fn>
+constexpr void for_each_counter(Fn&& fn)
+{
+  using s = sweep_stats;
+  using enum counter_scope;
+  fn("sat_calls_total", &s::sat_calls_total, all);
+  fn("sat_calls_satisfiable", &s::sat_calls_satisfiable, all);
+  fn("merges", &s::merges, all);
+  fn("dont_touch", &s::dont_touch, all);
+  fn("undet_retries", &s::undet_retries, all);
+  fn("undet_resolved", &s::undet_resolved, all);
+  fn("sweep_outcome", &s::outcome, all);
+  fn("sat_nodes_encoded", &s::sat_nodes_encoded, all);
+  fn("sat_solver_rebuilds", &s::sat_solver_rebuilds, all);
+  fn("sat_clauses_peak", &s::sat_clauses_peak, all);
+  fn("sat_conflicts", &s::sat_conflicts, all);
+  fn("sat_decisions", &s::sat_decisions, all);
+  fn("sat_restarts", &s::sat_restarts, all);
+  fn("sat_learnts_reduced", &s::sat_learnts_reduced, all);
+  fn("sat_lbd_sum", &s::sat_lbd_sum, all);
+  fn("sat_binary_clauses", &s::sat_binary_clauses, all);
+  fn("sat_lits_collapsed", &s::sat_lits_collapsed, all);
+  fn("sat_clauses_subsumed", &s::sat_clauses_subsumed, all);
+  fn("sat_inprocess_seconds", &s::sat_inprocess_seconds, all);
+  fn("phase_seed_words", &s::phase_seed_words, stp);
+  fn("threads", &s::threads, stp);
+  fn("sat_shards", &s::sat_shards, stp);
+  fn("workers_used", &s::workers_used, stp);
+  fn("worker_sat_seconds", &s::worker_sat_seconds, stp);
+  fn("store_words_live", &s::store_words_live, store);
+  fn("store_words_trimmed", &s::store_words_trimmed, store);
+  fn("store_peak_bytes", &s::store_peak_bytes, store);
+  fn("pattern_words_live", &s::pattern_words_live, store);
+  fn("pattern_words_recycled", &s::pattern_words_recycled, store);
+  fn("sim_seconds", &s::sim_seconds, all);
+  fn("sat_seconds", &s::sat_seconds, all);
+  fn("total_seconds", &s::total_seconds, all);
+  fn("constant_merges", &s::constant_merges, internal);
+  fn("window_merges", &s::window_merges, internal);
+  fn("ce_patterns", &s::ce_patterns, internal);
+  fn("gates_before", &s::gates_before, internal);
+  fn("gates_after", &s::gates_after, internal);
+  fn("levels_before", &s::levels_before, internal);
+}
+
+/// Adds every 64-bit and floating counter of \p part into \p total (the
+/// shard merge).  The 32-bit shape fields, the outcome and the
+/// per-worker seconds are left for the caller to set.
+void add_counters(sweep_stats& total, const sweep_stats& part);
+
+/// Writes \p cnf's encode and search counters into \p stats (assignment
+/// semantics: one manager's whole life).
+void fill_cnf_stats(sweep_stats& stats, const sat::cnf_manager& cnf);
 
 } // namespace stps::sweep

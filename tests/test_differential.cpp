@@ -30,6 +30,7 @@
 #include "sweep/cec.hpp"
 #include "sweep/fraig.hpp"
 #include "sweep/stp_sweeper.hpp"
+#include "sweep_counters.hpp"
 
 #include <gtest/gtest.h>
 
@@ -49,9 +50,10 @@ net::aig_network make_network(uint64_t seed)
   net::aig_network base;
   switch (family) {
     case 0u:
-      base = gen::make_random_logic({8u + static_cast<uint32_t>(seed % 7u),
-                                     6u, 220u + 40u * (seed % 4u),
-                                     0xd1ffu + seed, 25u});
+      base = gen::make_random_logic(
+          {8u + static_cast<uint32_t>(seed % 7u), 6u,
+           220u + 40u * static_cast<uint32_t>(seed % 4u), 0xd1ffu + seed,
+           25u});
       break;
     case 1u:
       base = gen::make_adder(6u + static_cast<uint32_t>(seed % 6u));
@@ -204,30 +206,11 @@ TEST(Differential, SeededSweepsAreDeterministic)
     const sweep::sweep_stats b = sweep::stp_sweep(second, params);
 
     EXPECT_EQ(first.num_gates(), second.num_gates());
-    EXPECT_EQ(a.gates_before, b.gates_before);
-    EXPECT_EQ(a.gates_after, b.gates_after);
-    EXPECT_EQ(a.levels_before, b.levels_before);
-    EXPECT_EQ(a.sat_calls_total, b.sat_calls_total);
-    EXPECT_EQ(a.sat_calls_satisfiable, b.sat_calls_satisfiable);
-    EXPECT_EQ(a.merges, b.merges);
-    EXPECT_EQ(a.constant_merges, b.constant_merges);
-    EXPECT_EQ(a.window_merges, b.window_merges);
-    EXPECT_EQ(a.dont_touch, b.dont_touch);
-    EXPECT_EQ(a.ce_patterns, b.ce_patterns);
-    EXPECT_EQ(a.sat_nodes_encoded, b.sat_nodes_encoded);
-    EXPECT_EQ(a.sat_solver_rebuilds, b.sat_solver_rebuilds);
-    EXPECT_EQ(a.sat_clauses_peak, b.sat_clauses_peak);
     // Signature-phase seeding is on by default here: two seeded runs
-    // must agree on the solver search itself, byte for byte.
-    EXPECT_EQ(a.sat_conflicts, b.sat_conflicts);
-    EXPECT_EQ(a.sat_decisions, b.sat_decisions);
-    EXPECT_EQ(a.sat_restarts, b.sat_restarts);
-    EXPECT_EQ(a.phase_seed_words, b.phase_seed_words);
-    EXPECT_EQ(a.store_words_live, b.store_words_live);
-    EXPECT_EQ(a.store_words_trimmed, b.store_words_trimmed);
-    EXPECT_EQ(a.store_peak_bytes, b.store_peak_bytes);
-    EXPECT_EQ(a.pattern_words_live, b.pattern_words_live);
-    EXPECT_EQ(a.pattern_words_recycled, b.pattern_words_recycled);
+    // must agree on every counter, the solver search included.
+    EXPECT_EQ(test::deterministic_counters(a),
+              test::deterministic_counters(b))
+        << "seed " << seed;
     EXPECT_TRUE(sweep::check_equivalence(first, second).equivalent);
   }
 }

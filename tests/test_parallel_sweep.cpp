@@ -23,6 +23,7 @@
 #include "sweep/cec.hpp"
 #include "sweep/resource_governor.hpp"
 #include "sweep/stp_sweeper.hpp"
+#include "sweep_counters.hpp"
 
 #include <gtest/gtest.h>
 
@@ -48,40 +49,7 @@ std::vector<uint32_t> fingerprint(const net::aig_network& aig)
   return fp;
 }
 
-/// Every deterministic counter of sweep_stats (everything except the
-/// wall-clock seconds), flattened for a single EXPECT_EQ.
-std::vector<uint64_t> counters(const sweep::sweep_stats& s)
-{
-  return {s.gates_before,
-          s.gates_after,
-          s.levels_before,
-          s.sat_calls_satisfiable,
-          s.sat_calls_total,
-          s.merges,
-          s.constant_merges,
-          s.window_merges,
-          s.dont_touch,
-          s.ce_patterns,
-          static_cast<uint64_t>(s.outcome),
-          s.undet_retries,
-          s.undet_resolved,
-          s.sat_nodes_encoded,
-          s.sat_solver_rebuilds,
-          s.sat_clauses_peak,
-          s.sat_conflicts,
-          s.sat_decisions,
-          s.sat_restarts,
-          s.phase_seed_words,
-          static_cast<uint64_t>(s.has_store_counters),
-          s.store_words_live,
-          s.store_words_trimmed,
-          s.store_peak_bytes,
-          s.pattern_words_live,
-          s.pattern_words_recycled,
-          s.threads,
-          s.sat_shards,
-          s.workers_used};
-}
+using test::counter_list;
 
 net::aig_network test_instance(uint64_t seed)
 {
@@ -98,7 +66,7 @@ TEST(ParallelSweep, ThreadCountNeverChangesTheResult)
   // network must be byte-identical — scheduling must not exist as far
   // as results are concerned.
   for (const uint64_t seed : {0u, 1u, 2u}) {
-    std::vector<std::vector<uint64_t>> all_counters;
+    std::vector<counter_list> all_counters;
     std::vector<std::vector<uint32_t>> all_fps;
     for (const uint32_t threads : {1u, 2u, 4u}) {
       net::aig_network aig = test_instance(seed);
@@ -111,11 +79,12 @@ TEST(ParallelSweep, ThreadCountNeverChangesTheResult)
       EXPECT_EQ(stats.threads, threads);
       EXPECT_EQ(stats.workers_used, std::min(threads, 4u));
       EXPECT_EQ(stats.worker_sat_seconds.size(), stats.workers_used);
-      auto flat = counters(stats);
+      counter_list flat = test::deterministic_counters(stats);
       // threads/workers_used legitimately differ across runs; compare
       // everything else.
-      flat[flat.size() - 3u] = 0u; // threads
-      flat[flat.size() - 1u] = 0u; // workers_used
+      std::erase_if(flat, [](const auto& counter) {
+        return counter.first == "threads" || counter.first == "workers_used";
+      });
       all_counters.push_back(std::move(flat));
       all_fps.push_back(fingerprint(aig));
     }
@@ -181,7 +150,7 @@ TEST(ParallelSweep, OneShardIsOneCodePath)
   // the single-thread sweep is that shard of the sharded path: both
   // settings give byte-identical counters and result networks.
   for (const uint64_t seed : {9u, 10u}) {
-    std::vector<std::vector<uint64_t>> all_counters;
+    std::vector<counter_list> all_counters;
     std::vector<std::vector<uint32_t>> all_fps;
     for (const uint32_t shards : {0u, 1u}) {
       net::aig_network aig = test_instance(seed);
@@ -191,7 +160,7 @@ TEST(ParallelSweep, OneShardIsOneCodePath)
       const auto stats = sweep::stp_sweep(aig, params);
       EXPECT_EQ(stats.sat_shards, 1u);
       EXPECT_EQ(stats.workers_used, 1u);
-      all_counters.push_back(counters(stats));
+      all_counters.push_back(test::deterministic_counters(stats));
       all_fps.push_back(fingerprint(aig));
     }
     EXPECT_EQ(all_counters[0], all_counters[1]) << "seed " << seed;

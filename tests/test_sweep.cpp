@@ -111,36 +111,6 @@ TEST(StpSweep, WindowMergesHappen)
       << "exhaustive window resolution never fired";
 }
 
-TEST(StpSweep, BatchedCeMatchesEagerExactly)
-{
-  // Batched counter-example refinement defers class re-partitioning
-  // (conditions a/b/c of the candidate loop) but must not change any
-  // decision: same SAT queries, same merges, same final network as the
-  // seed's eager one-CE-per-word behavior.
-  for (const uint64_t seed : {3u, 17u, 29u}) {
-    auto eager = redundant_test_circuit(seed, 900u);
-    auto batched = eager;
-    const net::aig_network original = eager;
-
-    sweep::stp_sweep_params p_eager;
-    p_eager.guided.base_patterns = 512u;
-    p_eager.use_batched_ce_refinement = false;
-    sweep::stp_sweep_params p_batched = p_eager;
-    p_batched.use_batched_ce_refinement = true;
-
-    const auto se = sweep::stp_sweep(eager, p_eager);
-    const auto sb = sweep::stp_sweep(batched, p_batched);
-
-    EXPECT_EQ(se.merges, sb.merges) << "seed " << seed;
-    EXPECT_EQ(se.sat_calls_total, sb.sat_calls_total) << "seed " << seed;
-    EXPECT_EQ(se.sat_calls_satisfiable, sb.sat_calls_satisfiable)
-        << "seed " << seed;
-    EXPECT_EQ(eager.num_gates(), batched.num_gates()) << "seed " << seed;
-    EXPECT_TRUE(sweep::check_equivalence(original, batched).equivalent)
-        << "seed " << seed;
-  }
-}
-
 TEST(StpSweep, AblationFlagsStillSound)
 {
   for (int variant = 0; variant < 3; ++variant) {
@@ -192,6 +162,27 @@ TEST(StpSweep, EffectiveWindowSupportScalesWithGateCount)
   params.window_scale_gates = 30'000u;
   params.window_max_support_scaled = 14u; // cap below base: base wins
   EXPECT_EQ(params.effective_window_support(1u << 30u), 15u);
+}
+
+TEST(StpSweep, EffectiveBudgetsScaleWithGateCount)
+{
+  // Patterns: 250 per 1000 gates, floored at 128, rounded up to a whole
+  // word.  Round-2 queries: 16 per 1000 gates, floored at 32.  The
+  // defaults cap them at 1024 and 512; a huge cap shows the raw scale.
+  sweep::stp_sweep_params capped;
+  sweep::stp_sweep_params raw;
+  raw.guided.base_patterns = 1u << 20u;
+  raw.guided.max_round2_queries = 1u << 20u;
+  struct row { uint64_t gates, patterns, raw_patterns, queries, raw_queries; };
+  for (const row& r : {row{0u, 128u, 128u, 32u, 32u},
+                       row{1'000u, 256u, 256u, 32u, 32u},
+                       row{30'000u, 1024u, 7'552u, 480u, 480u},
+                       row{1'000'000u, 1024u, 250'048u, 512u, 16'000u}}) {
+    EXPECT_EQ(capped.effective_pattern_budget(r.gates), r.patterns);
+    EXPECT_EQ(raw.effective_pattern_budget(r.gates), r.raw_patterns);
+    EXPECT_EQ(capped.effective_round2_queries(r.gates), r.queries);
+    EXPECT_EQ(raw.effective_round2_queries(r.gates), r.raw_queries);
+  }
 }
 
 TEST(StpSweep, WindowSupportLimitIsResultInvariant)
