@@ -105,4 +105,26 @@ void signature_store::trim_words(std::size_t first_live)
   }
 }
 
+signature_store signature_store::copy_live_words(std::size_t first_live) const
+{
+  first_live = std::max(std::min(first_live, num_words_), first_live_);
+  signature_store out;
+  out.reset(num_nodes_, 0u);
+  for (std::size_t w = 0; w < first_live; ++w) {
+    out.append_trimmed_word();
+  }
+  for (std::size_t w = first_live; w < num_words_; ++w) {
+    out.append_word();
+    std::size_t stride = 0;
+    const uint64_t* src = word_block(w, &stride);
+    if (src != nullptr) {
+      std::vector<uint64_t>& dst = out.tail_.back();
+      for (std::size_t n = 0; n < num_nodes_; ++n) {
+        dst[n] = src[n * stride];
+      }
+    }
+  }
+  return out;
+}
+
 } // namespace stps::sim

@@ -223,6 +223,14 @@ public:
   /// \p first_live than a previous call is a no-op.
   void trim_words(std::size_t first_live);
 
+  /// Copy holding only the words from \p first_live on (raised to this
+  /// store's own trim mark): earlier words are born trimmed, every later
+  /// word is copied into a word-major tail block.  Reads agree with this
+  /// store at every index ≥ \p first_live and yield 0 below it; the copy
+  /// starts with `peak_bytes()` = its live words only.  This is how a
+  /// sweep shard takes over the open word without the base arena.
+  signature_store copy_live_words(std::size_t first_live) const;
+
   /// First word whose storage is guaranteed live (0 when never trimmed).
   std::size_t first_live_word() const noexcept { return first_live_; }
   /// Words whose backing storage has been freed.

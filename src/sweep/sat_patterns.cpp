@@ -1,6 +1,7 @@
 #include "sweep/sat_patterns.hpp"
 
 #include "sim/bitwise_sim.hpp"
+#include "sweep/worker_pool.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -44,15 +45,26 @@ uint64_t signature_group_key(const sim::signature_store& sig, net::node n,
   return h;
 }
 
-} // namespace
+/// The random base both guidance rounds start from.
+sim::pattern_set base_patterns(const net::aig_network& aig,
+                               const guided_pattern_config& config)
+{
+  return sim::pattern_set::random(aig.num_pis(), config.base_patterns,
+                                  config.seed);
+}
 
-guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
-                                          sat::cnf_manager& cnf,
-                                          const guided_pattern_config& config)
+/// Both guidance rounds over slice \p slice of \p slices: the gates
+/// whose index in `foreach_gate` order is \p slice modulo \p slices
+/// (one slice is every gate).  \p aig is never modified here, so \p plan
+/// — its resimulation snapshot — stays exact for every witness.
+guided_pattern_result guided_rounds(const net::aig_network& aig,
+                                    sat::cnf_manager& cnf,
+                                    const guided_pattern_config& config,
+                                    const sim::resim_plan& plan,
+                                    uint32_t slice, uint32_t slices)
 {
   guided_pattern_result result;
-  result.patterns = sim::pattern_set::random(
-      aig.num_pis(), config.base_patterns, config.seed);
+  result.patterns = base_patterns(aig, config);
 
   // Deadline/budget/cancellation poll — once tripped, both rounds stop
   // issuing queries and the patterns collected so far are returned.
@@ -61,6 +73,15 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   };
 
   std::vector<bool> proven(aig.size(), false);
+  std::vector<net::node> gates;
+  {
+    uint32_t index = 0;
+    aig.foreach_gate([&](net::node n) {
+      if (index++ % slices == slice) {
+        gates.push_back(n);
+      }
+    });
+  }
 
   // Witnesses are re-simulated *incrementally* (one appended word) the
   // moment SAT hands them back, so every later candidate checks against
@@ -72,7 +93,7 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   result.sim_seconds += seconds_since(t_sim);
 
   // Signature-phase seeding for the guided queries themselves: every
-  // witness is absorbed with a full last-word resimulation, so the
+  // witness is absorbed with a whole-AIG last-word resimulation, so the
   // newest pattern's bit is current for *every* node — one consistent
   // assignment to start each query from.  Cleared before returning
   // (`sig` dies with this call; the sweeper installs its own hints).
@@ -100,7 +121,7 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   const auto absorb_witness = [&](const std::vector<bool>& witness) {
     const auto t_ce = sweep_clock::now();
     result.patterns.add_pattern(witness);
-    sim::resimulate_aig_last_word(aig, result.patterns, sig);
+    sim::resimulate_aig_all_last_word(aig, result.patterns, sig, plan);
     result.sim_seconds += seconds_since(t_ce);
     ++result.patterns_added;
   };
@@ -112,13 +133,13 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   for (uint32_t iter = 0; iter < config.round1_iterations && !stopped();
        ++iter) {
     bool any_witness = false;
-    aig.foreach_gate([&](net::node n) {
+    for (const net::node n : gates) {
       if (proven[n] || stopped()) {
-        return;
+        continue;
       }
       const uint64_t ones = ones_count(sig, n);
       if (ones != 0u && ones != result.patterns.num_patterns()) {
-        return; // signature already toggles
+        continue; // signature already toggles
       }
       const bool looks_constant = ones != 0u;
       ++result.sat_calls;
@@ -136,7 +157,7 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
         proven[n] = true;
         result.proven_constants.emplace_back(n, looks_constant);
       }
-    });
+    }
     if (!any_witness) {
       break;
     }
@@ -176,15 +197,15 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
 
   if (!config.round2_group_by_signature) {
     // Ablation baseline: one query per still-near-constant gate.
-    aig.foreach_gate([&](net::node n) {
+    for (const net::node n : gates) {
       bool toward_ones = false;
       uint64_t ones = 0;
       if (proven[n] || queries >= config.max_round2_queries || stopped() ||
           !near_constant(n, toward_ones, ones)) {
-        return;
+        continue;
       }
       query_gate(n, toward_ones);
-    });
+    }
     return result;
   }
 
@@ -205,11 +226,11 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   {
     std::unordered_map<uint64_t, std::size_t> group_of_key;
     const uint64_t total = result.patterns.num_patterns();
-    aig.foreach_gate([&](net::node n) {
+    for (const net::node n : gates) {
       bool toward_ones = false;
       uint64_t ones = 0;
       if (proven[n] || !near_constant(n, toward_ones, ones)) {
-        return;
+        continue;
       }
       const uint64_t minority = std::min(ones, total - ones);
       const uint64_t key = signature_group_key(sig, n, total);
@@ -219,7 +240,7 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
       } else {
         groups[it->second].members.push_back(n);
       }
-    });
+    }
   }
   std::sort(groups.begin(), groups.end(),
             [](const round2_group& a, const round2_group& b) {
@@ -245,19 +266,14 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
   return result;
 }
 
-sim::pattern_set initial_patterns(net::aig_network& aig,
-                                  sat::cnf_manager& cnf,
-                                  const guided_pattern_config& config,
-                                  bool guided, sweep_stats& stats)
+/// Alg. 2 line 3 and the books: substitutes every proven constant of
+/// \p result into \p aig (in the result's order), books its queries and
+/// seconds in \p stats, and returns its patterns.
+sim::pattern_set apply_prologue(net::aig_network& aig,
+                                guided_pattern_result result,
+                                sweep_clock::time_point t_prologue,
+                                sweep_stats& stats)
 {
-  if (!guided) {
-    return sim::pattern_set::random(aig.num_pis(), config.base_patterns,
-                                    config.seed);
-  }
-  guided_pattern_result result = sat_guided_patterns(aig, cnf, config);
-  stats.sat_calls_total += result.sat_calls;
-  stats.sim_seconds += result.sim_seconds;
-  stats.sat_seconds += result.sat_seconds;
   for (const auto& [n, value] : result.proven_constants) {
     if (!aig.is_dead(n)) {
       ++stats.constant_merges;
@@ -265,7 +281,105 @@ sim::pattern_set initial_patterns(net::aig_network& aig,
       aig.substitute_node(n, aig.get_constant(value));
     }
   }
+  stats.sat_calls_total += result.sat_calls;
+  stats.prologue_sat_calls += result.sat_calls;
+  stats.prologue_satisfiable_calls += result.satisfiable_calls;
+  stats.sim_seconds += result.sim_seconds;
+  stats.sat_seconds += result.sat_seconds;
+  stats.prologue_seconds += seconds_since(t_prologue);
   return std::move(result.patterns);
+}
+
+} // namespace
+
+guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
+                                          sat::cnf_manager& cnf,
+                                          const guided_pattern_config& config)
+{
+  const auto t_plan = sweep_clock::now();
+  const sim::resim_plan plan = sim::make_resim_plan(aig);
+  const double plan_seconds = seconds_since(t_plan);
+  guided_pattern_result result =
+      guided_rounds(aig, cnf, config, plan, 0u, 1u);
+  result.sim_seconds += plan_seconds;
+  return result;
+}
+
+guided_pattern_result sharded_guided_patterns(
+    const net::aig_network& aig, const sat::cnf_manager::params& cnf_params,
+    const guided_pattern_config& config, uint32_t shards, worker_pool& pool,
+    sweep_stats& sat_counters)
+{
+  guided_pattern_config slice_config = config;
+  slice_config.max_round2_queries =
+      config.max_round2_queries / shards +
+      (config.max_round2_queries % shards != 0u ? 1u : 0u);
+  guided_pattern_result merged;
+  const auto t_plan = sweep_clock::now();
+  const sim::resim_plan plan = sim::make_resim_plan(aig);
+  merged.sim_seconds += seconds_since(t_plan);
+
+  std::vector<guided_pattern_result> parts(shards);
+  std::vector<sweep_stats> part_counters(shards);
+  pool.run(shards, [&](std::size_t s) {
+    sat::cnf_manager cnf{aig, cnf_params};
+    parts[s] = guided_rounds(aig, cnf, slice_config, plan,
+                             static_cast<uint32_t>(s), shards);
+    fill_cnf_stats(part_counters[s], cnf);
+  });
+
+  // Canonical merge: the base, then each slice's witnesses in shard
+  // order, then the union of proven constants in ascending node id.
+  merged.patterns = base_patterns(aig, config);
+  const uint64_t base = merged.patterns.num_patterns();
+  std::vector<bool> witness(aig.num_pis());
+  for (uint32_t s = 0; s < shards; ++s) {
+    const guided_pattern_result& part = parts[s];
+    for (uint64_t p = base; p < part.patterns.num_patterns(); ++p) {
+      for (uint32_t i = 0; i < aig.num_pis(); ++i) {
+        witness[i] = part.patterns.bit(i, p);
+      }
+      merged.patterns.add_pattern(witness);
+    }
+    merged.proven_constants.insert(merged.proven_constants.end(),
+                                   part.proven_constants.begin(),
+                                   part.proven_constants.end());
+    merged.sat_calls += part.sat_calls;
+    merged.satisfiable_calls += part.satisfiable_calls;
+    merged.patterns_added += part.patterns_added;
+    merged.sim_seconds += part.sim_seconds;
+    merged.sat_seconds += part.sat_seconds;
+    add_counters(sat_counters, part_counters[s]);
+  }
+  std::sort(merged.proven_constants.begin(), merged.proven_constants.end());
+  return merged;
+}
+
+sim::pattern_set initial_patterns(net::aig_network& aig,
+                                  sat::cnf_manager& cnf,
+                                  const guided_pattern_config& config,
+                                  bool guided, sweep_stats& stats)
+{
+  if (!guided) {
+    return base_patterns(aig, config);
+  }
+  const auto t_prologue = sweep_clock::now();
+  guided_pattern_result result = sat_guided_patterns(aig, cnf, config);
+  return apply_prologue(aig, std::move(result), t_prologue, stats);
+}
+
+sim::pattern_set sharded_initial_patterns(
+    net::aig_network& aig, const sat::cnf_manager::params& cnf_params,
+    const guided_pattern_config& config, bool guided, uint32_t shards,
+    worker_pool& pool, sweep_stats& stats)
+{
+  if (!guided) {
+    return base_patterns(aig, config);
+  }
+  const auto t_prologue = sweep_clock::now();
+  guided_pattern_result result =
+      sharded_guided_patterns(aig, cnf_params, config, shards, pool, stats);
+  return apply_prologue(aig, std::move(result), t_prologue, stats);
 }
 
 } // namespace stps::sweep

@@ -14,6 +14,21 @@
 /// * **Round 2** — for gates whose signature has only a few ones (or
 ///   zeros), ask SAT for assignments producing the minority value, so
 ///   signatures gain toggles and distinguish more class candidates.
+///
+/// Witnesses are absorbed by vectorized whole-AIG last-word
+/// resimulation (sim::resimulate_aig_all_last_word over one
+/// sim::resim_plan): the AIG does not change while the rounds run, so
+/// the plan taken at entry stays exact.
+///
+/// **Sharded prologue** (`sharded_guided_patterns`): gate i, counted in
+/// `foreach_gate` order, belongs to slice i mod `shards`.  Each slice
+/// runs both rounds on its own worker with its own fresh cnf_manager,
+/// its own simulation of the frozen AIG and only its own witnesses; the
+/// round-2 budget is split evenly (rounded up).  The calling thread then
+/// merges in canonical order — the random base, slice 0's witnesses,
+/// slice 1's, … — and substitutes the union of proven constants in
+/// ascending node id, so the result is a pure function of the shard
+/// count, never of the thread count.
 #pragma once
 
 #include "network/aig.hpp"
@@ -27,6 +42,8 @@
 #include <vector>
 
 namespace stps::sweep {
+
+class worker_pool;
 
 struct guided_pattern_config
 {
@@ -77,13 +94,33 @@ guided_pattern_result sat_guided_patterns(const net::aig_network& aig,
                                           sat::cnf_manager& cnf,
                                           const guided_pattern_config& config);
 
+/// The guidance rounds split into \p shards slices run as jobs of
+/// \p pool (see the file comment), each on a fresh manager built from
+/// \p cnf_params.  Returns the canonical merge — `proven_constants` in
+/// ascending node id, the counts and seconds summed over slices — and
+/// adds the slices' manager counters (`fill_cnf_stats` each) to
+/// \p sat_counters.  One slice poses exactly `sat_guided_patterns`'
+/// queries, on a manager of its own.
+guided_pattern_result sharded_guided_patterns(
+    const net::aig_network& aig, const sat::cnf_manager::params& cnf_params,
+    const guided_pattern_config& config, uint32_t shards, worker_pool& pool,
+    sweep_stats& sat_counters);
+
 /// Alg. 2 lines 2-3, shared by both sweepers: runs both guidance rounds
 /// (\p guided) or draws `config.base_patterns` random patterns,
 /// substitutes every proven constant into \p aig, and books the calls,
-/// merges and seconds in \p stats.  Returns the initial pattern set.
+/// merges and seconds (`prologue_*` included) in \p stats.  Returns the
+/// initial pattern set.
 sim::pattern_set initial_patterns(net::aig_network& aig,
                                   sat::cnf_manager& cnf,
                                   const guided_pattern_config& config,
                                   bool guided, sweep_stats& stats);
+
+/// `initial_patterns` on `sharded_guided_patterns`; the slices' manager
+/// counters are added to \p stats as well.
+sim::pattern_set sharded_initial_patterns(
+    net::aig_network& aig, const sat::cnf_manager::params& cnf_params,
+    const guided_pattern_config& config, bool guided, uint32_t shards,
+    worker_pool& pool, sweep_stats& stats);
 
 } // namespace stps::sweep

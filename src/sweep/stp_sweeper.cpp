@@ -157,6 +157,22 @@ private:
   std::vector<std::size_t> group_rep_;
 };
 
+/// True when absorbed signature/pattern words may be freed: a word
+/// budget is set and no trim failure is injected.
+bool may_trim(const stp_sweep_params& params)
+{
+  return params.store_word_budget != 0u && !params.fault_fail_store_trim;
+}
+
+/// First word the equivalence classes have not absorbed yet: the open
+/// (partially filled) word, or one past the last word when it is full —
+/// the caller refined with it, so everything can go.
+std::size_t first_unabsorbed_word(const sim::pattern_set& patterns)
+{
+  return patterns.num_patterns() % 64u == 0u ? patterns.num_words()
+                                             : patterns.num_words() - 1u;
+}
+
 /// A merge a shard proved but did not apply: \p n is equivalent to
 /// \p target over the frozen input AIG.  The commit pass applies the
 /// records in ascending node-id order on the calling thread.
@@ -173,9 +189,11 @@ struct merge_record
 ///
 /// The AIG is frozen (shared read-only by all shards) and proven merges
 /// append a `merge_record` instead of rewiring it.  A lone shard takes
-/// over the prologue's simulation state and continues on its
-/// `sat::cnf_manager`; with several shards, each core works on private
-/// copies of that state and a fresh manager of its own.  Either way a
+/// over the serial prologue's simulation state and continues on its
+/// `sat::cnf_manager`.  With several shards the prologue ran sharded on
+/// managers that are gone by now; each core gets private copies of the
+/// merged pattern set and classes, a signature store holding only the
+/// live (open) word, and a fresh manager of its own.  Either way a
 /// shard's trajectory is a pure function of its inputs — independent of
 /// how shards are scheduled onto threads.
 class sweep_core
@@ -261,15 +279,10 @@ private:
   // done, that is every base word the moment enough of them accumulate.
   void trim_absorbed_words()
   {
-    if (params_.store_word_budget == 0u || params_.fault_fail_store_trim) {
+    if (!may_trim(params_)) {
       return; // budget off, or injected trim failure: keep every word
     }
-    // The open word must stay live; on an exact 64-pattern boundary the
-    // last word is filled *and* refined with (the caller just flushed),
-    // so everything can go.
-    const std::size_t first_live = patterns_.num_patterns() % 64u == 0u
-                                       ? patterns_.num_words()
-                                       : patterns_.num_words() - 1u;
+    const std::size_t first_live = first_unabsorbed_word(patterns_);
     if (sig_.live_words() <= params_.store_word_budget &&
         rsig_.live_words() <= params_.store_word_budget &&
         patterns_.live_words() <= params_.store_word_budget) {
@@ -545,12 +558,27 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   cnf_params.inprocess_min_clauses = params.sat_inprocess_min_clauses;
   cnf_params.hooks = params.governor;
   cnf_params.faults = params.faults;
-  sat::cnf_manager cnf{aig, cnf_params};
+
+  const uint32_t shards = params.effective_sat_shards();
+  const bool lone_shard = shards == 1u;
+  const uint32_t workers_used =
+      std::min(std::max(params.threads, 1u), shards);
+  // One pool serves both parallel phases; a single worker runs every
+  // job on the calling thread.
+  worker_pool pool{workers_used > 1u ? workers_used : 0u};
+  // A lone shard runs the prologue and the candidate loop on this one
+  // manager; several shards build theirs on the workers.
+  std::optional<sat::cnf_manager> lone_cnf;
+  if (lone_shard) {
+    lone_cnf.emplace(aig, cnf_params);
+  }
 
   // ---- Initial patterns (Alg. 2 line 2) + constant propagation (line 3).
   // The per-round simulation budget scales with the gate count (capped at
   // guided.base_patterns), so tiny instances stop over-investing in
-  // simulation.
+  // simulation.  With several shards the guided prologue is sharded too
+  // (sat_patterns.hpp): each shard proves its slice of the constant and
+  // near-constant queries.
   guided_pattern_config guided_config = params.guided;
   guided_config.base_patterns =
       params.effective_pattern_budget(aig.num_gates());
@@ -558,8 +586,13 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
       params.effective_round2_queries(aig.num_gates());
   guided_config.use_signature_phase = params.use_signature_phase;
   guided_config.governor = params.governor;
-  sim::pattern_set patterns = initial_patterns(
-      aig, cnf, guided_config, params.use_guided_patterns, stats);
+  sim::pattern_set patterns =
+      lone_shard
+          ? initial_patterns(aig, *lone_cnf, guided_config,
+                             params.use_guided_patterns, stats)
+          : sharded_initial_patterns(aig, cnf_params, guided_config,
+                                     params.use_guided_patterns, shards,
+                                     pool, stats);
 
   if (governor_stopped(params)) {
     // Aborted during pattern generation: the constants applied above
@@ -569,7 +602,9 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     aig.cleanup_dangling();
     stats.gates_after = aig.num_gates();
     stats.outcome = params.governor->outcome();
-    fill_cnf_stats(stats, cnf);
+    if (lone_shard) {
+      fill_cnf_stats(stats, *lone_cnf); // sharded: summed by the prologue
+    }
     stats.worker_sat_seconds = {0.0};
     stats.total_seconds = seconds_since(t_total);
     return stats;
@@ -618,7 +653,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   };
 
   const std::vector<net::node> order = net::reverse_topo_order(aig);
-  const uint32_t shards = params.effective_sat_shards();
 
   // ---- SAT phase: class-sharded sweeping. ------------------------------
   // The candidate classes are partitioned round-robin (ascending class
@@ -626,13 +660,13 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // Classes never interact during querying — drivers come from the
   // candidate's own class — so each shard sweeps its classes against
   // the frozen AIG with fully private state: its own cnf_manager, its
-  // own copies of the pattern/signature stores and the class partition
-  // (non-owned classes dissolved).  Only the resimulation plan is
-  // shared, read-only.  Proven merges are *recorded*, then committed
-  // below in ascending node-id order on this thread.  A shard's
-  // trajectory is a pure function of its inputs, so the sweep is
-  // byte-identical for a fixed shard count no matter how many threads
-  // execute it.
+  // own copies of the pattern set, the live signature words and the
+  // class partition (non-owned classes dissolved).  Only the
+  // resimulation plan is shared, read-only.  Proven merges are
+  // *recorded*, then committed below in ascending node-id order on this
+  // thread.  A shard's trajectory is a pure function of its inputs, so
+  // the sweep is byte-identical for a fixed shard count no matter how
+  // many threads execute it.
   std::vector<uint32_t> owner_of_class(classes.num_class_ids(),
                                        ~uint32_t{0});
   {
@@ -663,51 +697,50 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // holds the encoded cones and learnt clauses of the guided queries,
   // and takes over the simulation state instead of copying it.  Several
   // shards each start a fresh manager, so that no shard's trajectory
-  // depends on which shard would have inherited it.  A single worker
-  // runs its shards on the calling thread.
-  const bool lone_shard = shards == 1u;
-  const uint32_t workers_used =
-      std::min(std::max(params.threads, 1u), shards);
-  {
-    worker_pool pool{workers_used > 1u ? workers_used : 0u};
-    pool.run(shards, [&](std::size_t s) {
-      shard_result& out = shard_results[s];
-      std::optional<sat::cnf_manager> fresh_cnf;
-      sat::cnf_manager& shard_cnf =
-          lone_shard ? cnf : fresh_cnf.emplace(aig, cnf_params);
-      hint_fn(shard_cnf);
-      equiv_classes shard_classes =
-          lone_shard ? std::move(classes) : classes;
-      for (uint32_t c = 0; c < shard_classes.num_class_ids(); ++c) {
-        if (owner_of_class[c] != static_cast<uint32_t>(s)) {
-          shard_classes.dissolve_class(c);
-        }
+  // depends on which shard would have inherited it.  Their signature
+  // stores hold only the open word: every earlier word is absorbed by
+  // the class build above, and the open word is partial, so a full copy
+  // would keep the node-major base arena alive — untrimmable — in every
+  // shard for the whole sweep.  With trimming off (no word budget, or
+  // the injected trim failure) each shard keeps every word, as budgeted.
+  const bool trim_shard_stores = may_trim(params);
+  const std::size_t open_word = first_unabsorbed_word(patterns);
+  pool.run(shards, [&](std::size_t s) {
+    shard_result& out = shard_results[s];
+    std::optional<sat::cnf_manager> fresh_cnf;
+    sat::cnf_manager& shard_cnf =
+        lone_shard ? *lone_cnf : fresh_cnf.emplace(aig, cnf_params);
+    hint_fn(shard_cnf);
+    equiv_classes shard_classes = lone_shard ? std::move(classes) : classes;
+    for (uint32_t c = 0; c < shard_classes.num_class_ids(); ++c) {
+      if (owner_of_class[c] != static_cast<uint32_t>(s)) {
+        shard_classes.dissolve_class(c);
       }
-      sweep_core core{aig,
-                      params,
-                      shard_cnf,
-                      out.stats,
-                      stats.gates_before,
-                      plan,
-                      lone_shard ? std::move(patterns) : patterns,
-                      lone_shard ? std::move(sig) : sig,
-                      std::move(shard_classes),
-                      out.records};
-      core.run(shard_order[s]);
-      core.finalize_stats();
-      out.aborted = core.aborted();
-    });
-  }
+    }
+    sweep_core core{aig,
+                    params,
+                    shard_cnf,
+                    out.stats,
+                    stats.gates_before,
+                    plan,
+                    lone_shard ? std::move(patterns) : patterns,
+                    lone_shard          ? std::move(sig)
+                    : trim_shard_stores ? sig.copy_live_words(open_word)
+                                        : sig,
+                    std::move(shard_classes),
+                    out.records};
+    core.run(shard_order[s]);
+    core.finalize_stats();
+    out.aborted = core.aborted();
+  });
 
   // ---- Merge the per-shard accounting (ascending shard order). ---------
-  // Counters are *sums over shards* on top of the prologue's (guided
-  // patterns ran on the main manager): `sat_clauses_peak` in particular
-  // is the sum of per-manager peaks, not a global simultaneous peak.
-  // A lone shard's manager counters already include the prologue's.
-  // `worker_sat_seconds` covers the shards only, never the prologue.
-  if (!lone_shard) {
-    fill_cnf_stats(stats, cnf); // the prologue's SAT effort
-  }
+  // Counters are *sums over shards* on top of the prologue's:
+  // `sat_clauses_peak` in particular is the sum of per-manager peaks,
+  // not a global simultaneous peak.  A lone shard's manager counters
+  // include its prologue's; a sharded prologue summed its own managers'
+  // into `stats` already.  `worker_sat_seconds` covers the candidate
+  // loop only, never the prologue.
   stats.sat_shards = shards;
   stats.workers_used = workers_used;
   stats.worker_sat_seconds.assign(workers_used, 0.0);

@@ -54,6 +54,16 @@ struct sweep_stats
   uint64_t sat_calls_satisfiable = 0; ///< "SAT calls" (CE-producing)
   uint64_t sat_calls_total = 0;       ///< "Total SAT calls"
 
+  /// \name Guided prologue (Alg. 2 lines 2-3, sat_patterns.hpp)
+  /// Its queries are part of `sat_calls_total`; its satisfiable ones are
+  /// *not* in `sat_calls_satisfiable`, which counts the candidate loop's
+  /// counter-examples only.
+  /// \{
+  uint64_t prologue_sat_calls = 0;
+  uint64_t prologue_satisfiable_calls = 0;
+  double prologue_seconds = 0.0; ///< wall clock on the calling thread
+  /// \}
+
   uint64_t merges = 0;           ///< proven-equivalent substitutions
   uint64_t constant_merges = 0;  ///< constants propagated
   uint64_t window_merges = 0;    ///< merges proven by exhaustive windows
@@ -124,8 +134,9 @@ struct sweep_stats
   uint32_t sat_shards = 1;   ///< effective shard count of the SAT phase
   uint32_t workers_used = 1; ///< threads that actually ran shards
   /// Per-worker SAT time (size = workers_used; worker w summed over the
-  /// shards it ran).  The guided prologue runs before the shards and is
-  /// never included, so single-thread and sharded rows read alike.
+  /// shards it ran) in the candidate loop.  The guided prologue is never
+  /// included, even when it runs sharded on the same workers, so
+  /// single-thread and sharded rows read alike.
   std::vector<double> worker_sat_seconds;
   /// \}
 
@@ -159,6 +170,8 @@ constexpr void for_each_counter(Fn&& fn)
   using enum counter_scope;
   fn("sat_calls_total", &s::sat_calls_total, all);
   fn("sat_calls_satisfiable", &s::sat_calls_satisfiable, all);
+  fn("prologue_sat_calls", &s::prologue_sat_calls, all);
+  fn("prologue_satisfiable_calls", &s::prologue_satisfiable_calls, all);
   fn("merges", &s::merges, all);
   fn("dont_touch", &s::dont_touch, all);
   fn("undet_retries", &s::undet_retries, all);
@@ -188,6 +201,7 @@ constexpr void for_each_counter(Fn&& fn)
   fn("pattern_words_recycled", &s::pattern_words_recycled, store);
   fn("sim_seconds", &s::sim_seconds, all);
   fn("sat_seconds", &s::sat_seconds, all);
+  fn("prologue_seconds", &s::prologue_seconds, all);
   fn("total_seconds", &s::total_seconds, all);
   fn("constant_merges", &s::constant_merges, internal);
   fn("window_merges", &s::window_merges, internal);

@@ -16,17 +16,26 @@
 ///    instances (all true equivalences are proven either way when
 ///    budgets are unlimited).
 /// 3. **Governed cancellation** fans out: one shared governor stops
-///    every worker, and the partial result stays sound.
+///    every worker — in the sharded guided prologue as in the candidate
+///    loop — and the partial result stays sound.
+/// 4. **Sharded prologue soundness** — every constant a slice proves is
+///    a real constant, and the merge lists them in ascending node id.
 #include "gen/benchmarks.hpp"
 #include "gen/random_logic.hpp"
 #include "gen/redundancy.hpp"
+#include "sat/encoder.hpp"
+#include "sat/solver.hpp"
+#include "sim/bitwise_sim.hpp"
 #include "sweep/cec.hpp"
 #include "sweep/resource_governor.hpp"
+#include "sweep/sat_patterns.hpp"
 #include "sweep/stp_sweeper.hpp"
+#include "sweep/worker_pool.hpp"
 #include "sweep_counters.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -62,9 +71,10 @@ net::aig_network test_instance(uint64_t seed)
 TEST(ParallelSweep, ThreadCountNeverChangesTheResult)
 {
   // The determinism pin: fixed shard count, varying thread count.
-  // Every counter (including SAT search effort) and the full result
-  // network must be byte-identical — scheduling must not exist as far
-  // as results are concerned.
+  // Every counter (including SAT search effort and the sharded
+  // prologue's calls) and the full result network must be
+  // byte-identical — scheduling must not exist as far as results are
+  // concerned.
   for (const uint64_t seed : {0u, 1u, 2u}) {
     std::vector<counter_list> all_counters;
     std::vector<std::vector<uint32_t>> all_fps;
@@ -79,6 +89,8 @@ TEST(ParallelSweep, ThreadCountNeverChangesTheResult)
       EXPECT_EQ(stats.threads, threads);
       EXPECT_EQ(stats.workers_used, std::min(threads, 4u));
       EXPECT_EQ(stats.worker_sat_seconds.size(), stats.workers_used);
+      EXPECT_GT(stats.prologue_sat_calls, 0u);
+      EXPECT_GT(stats.prologue_satisfiable_calls, 0u);
       counter_list flat = test::deterministic_counters(stats);
       // threads/workers_used legitimately differ across runs; compare
       // everything else.
@@ -193,23 +205,97 @@ TEST(ParallelSweep, SharedGovernorCancelsEveryWorker)
 {
   // One governor, four workers: tripping the stop token mid-sweep winds
   // every shard down, the outcome is recorded, and the partial result
-  // (only committed proven merges) stays CEC-equivalent.
+  // (only committed proven merges) stays CEC-equivalent.  Two trip
+  // points: inside the sharded guided prologue (fewer query ticks than
+  // it issues) and inside the candidate loop after it.
   const net::aig_network original = test_instance(8u);
-  net::aig_network aig = original;
-  sweep::governor_limits limits;
-  limits.cancel_after_queries = 40u; // trips while shards are querying
-  sweep::resource_governor governor{limits};
   sweep::stp_sweep_params params;
   params.guided.base_patterns = 256u;
   params.threads = 4u;
   params.sat_shards = 4u;
-  params.governor = &governor;
-  const auto stats = sweep::stp_sweep(aig, params);
-  EXPECT_EQ(stats.outcome, sweep::sweep_outcome::cancelled);
-  EXPECT_TRUE(governor.stop_requested());
-  const auto cec = sweep::check_equivalence(original, aig);
-  EXPECT_TRUE(cec.equivalent);
-  EXPECT_LE(aig.num_gates(), original.num_gates());
+  net::aig_network ungoverned = original;
+  const auto full = sweep::stp_sweep(ungoverned, params);
+  const uint64_t prologue = full.prologue_sat_calls;
+  const uint64_t main_phase = full.sat_calls_total - prologue;
+  ASSERT_GE(prologue, 8u);
+  ASSERT_GE(main_phase, 8u);
+
+  for (const bool in_prologue : {true, false}) {
+    net::aig_network aig = original;
+    sweep::governor_limits limits;
+    limits.cancel_after_queries =
+        in_prologue ? prologue / 2u : prologue + main_phase / 2u;
+    sweep::resource_governor governor{limits};
+    params.governor = &governor;
+    const auto stats = sweep::stp_sweep(aig, params);
+    EXPECT_EQ(stats.outcome, sweep::sweep_outcome::cancelled)
+        << "in_prologue " << in_prologue;
+    EXPECT_TRUE(governor.stop_requested());
+    if (in_prologue) {
+      EXPECT_LT(stats.prologue_sat_calls, prologue);
+      EXPECT_EQ(stats.sat_calls_total, stats.prologue_sat_calls);
+    } else {
+      // The prologue ran to the end before the trip.
+      EXPECT_EQ(stats.prologue_sat_calls, prologue);
+      EXPECT_LT(stats.sat_calls_total, full.sat_calls_total);
+    }
+    const auto cec = sweep::check_equivalence(original, aig);
+    EXPECT_TRUE(cec.equivalent) << "in_prologue " << in_prologue;
+    EXPECT_LE(aig.num_gates(), original.num_gates());
+  }
+}
+
+TEST(ParallelSweep, ShardedPrologueProvesOnlyRealConstants)
+{
+  // Every slice proves constants on its own manager; each one the merge
+  // reports must be a real constant (simulation never toggles it, and
+  // an independent solver proves it), and sweeps at that shard count
+  // stay CEC-equivalent.  The instances plant hidden constants.
+  for (const uint64_t seed : {12u, 13u}) {
+    const net::aig_network original = test_instance(seed);
+    const sim::pattern_set probe =
+        sim::pattern_set::random(original.num_pis(), 4096u, 0xc0ffeeu + seed);
+    const sim::signature_store probe_sig = sim::simulate_aig(original, probe);
+    for (const uint32_t shards : {2u, 3u, 4u}) {
+      sweep::guided_pattern_config config;
+      config.base_patterns = 256u;
+      config.max_round2_queries = 32u;
+      sweep::worker_pool pool{2u};
+      sweep::sweep_stats counters;
+      const auto result = sweep::sharded_guided_patterns(
+          original, {}, config, shards, pool, counters);
+      EXPECT_FALSE(result.proven_constants.empty())
+          << "seed " << seed << " shards " << shards;
+      EXPECT_TRUE(std::is_sorted(result.proven_constants.begin(),
+                                 result.proven_constants.end()));
+      EXPECT_EQ(result.patterns.num_patterns(),
+                config.base_patterns + result.patterns_added);
+      EXPECT_GT(counters.sat_nodes_encoded, 0u);
+      for (const auto& [n, value] : result.proven_constants) {
+        const uint64_t expect = value ? ~uint64_t{0} : 0u;
+        for (std::size_t w = 0; w < probe_sig.num_words(); ++w) {
+          ASSERT_EQ(probe_sig.word(n, w), expect)
+              << "seed " << seed << " shards " << shards << " node " << n;
+        }
+        sat::solver solver;
+        sat::aig_encoder encoder{original, solver};
+        EXPECT_EQ(encoder.prove_constant(net::signal{n, false}, value, -1),
+                  sat::result::unsat)
+            << "seed " << seed << " shards " << shards << " node " << n;
+      }
+
+      net::aig_network swept = original;
+      sweep::stp_sweep_params params;
+      params.guided.base_patterns = 256u;
+      params.threads = 2u;
+      params.sat_shards = shards;
+      const auto stats = sweep::stp_sweep(swept, params);
+      EXPECT_GT(stats.prologue_sat_calls, 0u);
+      EXPECT_GT(stats.constant_merges, 0u);
+      EXPECT_TRUE(sweep::check_equivalence(original, swept).equivalent)
+          << "seed " << seed << " shards " << shards;
+    }
+  }
 }
 
 TEST(ParallelSweep, ScaleFourNamesExist)

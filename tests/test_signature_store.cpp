@@ -185,6 +185,59 @@ TEST(SignatureStore, TrimFreesAbsorbedWordsAndCounts)
   EXPECT_EQ(sig.live_words(), 2u);
 }
 
+TEST(SignatureStore, CopyLiveWordsKeepsOnlyTheOpenWord)
+{
+  // A sweep shard's store: a node-major base of 16 words, the last one
+  // open (partial), copied from the open word on.
+  const std::size_t nodes = 100u;
+  signature_store source(nodes, 16u);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    for (std::size_t w = 0; w < 16u; ++w) {
+      source.word(n, w) = 0x9e3779b97f4a7c15ull * (n + 1u) + w;
+    }
+  }
+  const signature_store copy = source.copy_live_words(15u);
+  EXPECT_EQ(copy.size(), nodes);
+  EXPECT_EQ(copy.num_words(), 16u);
+  EXPECT_EQ(copy.first_live_word(), 15u);
+  EXPECT_EQ(copy.words_trimmed(), 15u);
+  EXPECT_EQ(copy.live_words(), 1u);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    for (std::size_t w = 0; w < 15u; ++w) {
+      ASSERT_EQ(copy.word(n, w), 0u) << "node " << n << " word " << w;
+    }
+    ASSERT_EQ(copy.word(n, 15u), source.word(n, 15u)) << "node " << n;
+  }
+  // Only the open word was ever backed, as a word-major tail block.
+  const std::size_t one_word = nodes * sizeof(uint64_t);
+  EXPECT_EQ(copy.peak_bytes(), one_word);
+  EXPECT_EQ(copy.live_bytes(), one_word);
+  std::size_t stride = 0;
+  EXPECT_EQ(copy.word_block(3u, &stride), nullptr);
+  ASSERT_NE(copy.word_block(15u, &stride), nullptr);
+  EXPECT_EQ(stride, 1u);
+
+  // The copy keeps growing like any sweep store.
+  signature_store grown = copy;
+  grown.append_word();
+  grown.word(7u, 16u) = 42u;
+  EXPECT_EQ(grown.word(7u, 16u), 42u);
+  EXPECT_EQ(grown.word(7u, 15u), source.word(7u, 15u));
+
+  // With every word filled and absorbed nothing is copied; a mark below
+  // the source's own trim mark is raised to it.
+  EXPECT_EQ(source.copy_live_words(16u).live_words(), 0u);
+  EXPECT_EQ(source.copy_live_words(99u).num_words(), 16u);
+  signature_store trimmed = source;
+  trimmed.append_word();
+  trimmed.word(2u, 16u) = 5u;
+  trimmed.trim_words(16u);
+  const signature_store from_trimmed = trimmed.copy_live_words(0u);
+  EXPECT_EQ(from_trimmed.first_live_word(), 16u);
+  EXPECT_EQ(from_trimmed.live_words(), 1u);
+  EXPECT_EQ(from_trimmed.word(2u, 16u), 5u);
+}
+
 /// Property: under random append/write/trim interleavings, every live
 /// word of the trimmed store matches a never-trimmed reference store fed
 /// the identical operations, and the counters stay consistent.
