@@ -10,8 +10,9 @@
 ///   individual input bits, assembles a LUT index, and looks the output
 ///   bit up — no word parallelism.  This is the `TL` baseline the STP
 ///   simulator beats by ~7×.
-/// * `resimulate_aig_last_word` is the incremental path used when a
-///   counter-example is appended: only the final word is recomputed.
+/// * `resimulate_aig_last_word` recomputes only the final word after a
+///   counter-example is appended; both sweepers absorb counter-examples
+///   with the plan-driven `resimulate_aig_all_last_word` instead.
 #pragma once
 
 #include "network/aig.hpp"

@@ -47,6 +47,10 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
   sim::signature_store sig = sim::simulate_aig(aig, patterns);
   equiv_classes classes;
   classes.build(aig, sig, sim::tail_mask(patterns.num_patterns()));
+  // Substitutions only rewire fanins to function-identical signals, so
+  // one snapshot of the fanins evaluates every live word exactly as the
+  // current network would (resim_plan contract).
+  const sim::resim_plan plan = sim::make_resim_plan(aig);
   stats.sim_seconds += seconds_since(t_sim);
 
   // One candidate against its class representative.  Same escalating
@@ -112,7 +116,7 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
       ++stats.ce_patterns;
       const auto t_ce = sweep_clock::now();
       patterns.add_pattern(cnf.model_inputs());
-      sim::resimulate_aig_last_word(aig, patterns, sig);
+      sim::resimulate_aig_all_last_word(aig, patterns, sig, plan);
       classes.refine_with_word(sig, patterns.num_words() - 1u,
                                sim::tail_mask(patterns.num_patterns()));
       stats.sim_seconds += seconds_since(t_ce);
