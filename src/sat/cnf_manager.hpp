@@ -52,7 +52,9 @@ public:
     uint64_t clause_budget = 0;
     /// Cone-aware query scoping (aig_encoder::options): decisions and
     /// thereby conflict-driven activity bumps are restricted to each
-    /// query's union cone, and saved phases + normalized activities
+    /// query's union cone, propagation above level 0 stops at the
+    /// cone's boundary (solver::set_decision_vars), and saved phases +
+    /// normalized activities
     /// survive garbage epochs for cones that re-encode (the snapshot is
     /// taken at teardown and replayed as nodes re-encode; per-query
     /// scratch rebuilds of the non-incremental ablation stay cold —

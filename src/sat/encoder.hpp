@@ -23,12 +23,15 @@ class aig_encoder
 public:
   struct options
   {
-    /// Restrict each query's decisions to its union cone
-    /// (solver::set_decision_vars over the encoded support closure).
-    /// Conflict-driven activity bumping is thereby limited to the
-    /// current cone too: variables outside it never enter the decision
-    /// heap, so stale high-activity variables of long-dead queries
-    /// cannot steer the search.  false = unrestricted decisions over
+    /// Restrict each query's decisions and propagation to its union
+    /// cone (solver::set_decision_vars over the encoded support
+    /// closure).  Conflict-driven activity bumping is thereby limited
+    /// to the current cone too: variables outside it never enter the
+    /// decision heap, so stale high-activity variables of long-dead
+    /// queries cannot steer the search, and implications stop at the
+    /// cone boundary instead of running through every gate encoded so
+    /// far.  Counter-examples then carry each out-of-cone PI's saved
+    /// phase.  false = unrestricted decisions and propagation over
     /// every encoded variable (ablation baseline).
     bool cone_scoped_decisions = true;
   };

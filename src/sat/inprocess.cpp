@@ -82,6 +82,7 @@ bool inprocessor::collapse(solver& s, outcome& out)
   }
   for (const auto& [v, rep] : eq.mapped) {
     subst[v] = rep;
+    s.rep_[v] = rep.variable(); // set_decision_vars pulls it into scope
   }
   const auto sub = [&](lit l) {
     return l.sign() ? ~subst[l.variable()] : subst[l.variable()];

@@ -9,9 +9,13 @@
 ///      implication graph are literal equivalence classes; every clause
 ///      is rewritten onto class representatives.  The defining
 ///      equivalence binaries (¬v ∨ r), (v ∨ ¬r) are kept, so an
-///      eliminated variable still propagates from its representative —
-///      which keeps cone-scoped decision restriction sound (the encoded
-///      support closure still pins every eliminated variable).
+///      eliminated variable still propagates from its representative.
+///      The solver records each eliminated variable's representative,
+///      and set_decision_vars adds it (following chains across collapse
+///      runs) to any scope listing the variable: the rewritten cone
+///      clauses live on the representative, which may lie outside the
+///      query's encoded cone, and scope-gated propagation would
+///      otherwise never reach it.
 ///   2. **Backward subsumption** — signature-filtered, budgeted.  A
 ///      problem clause may only be deleted by a problem subsumer: a
 ///      learnt subsumer can itself be reduced away later, which would

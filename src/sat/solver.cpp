@@ -50,6 +50,7 @@ var solver::new_var()
   lbd_mark_.push_back(0u);
   watches_.emplace_back();
   watches_.emplace_back();
+  rep_.push_back(v);
   // Under a decision restriction new variables start unlisted; the next
   // set_decision_vars call scopes them in as needed.
   decision_.push_back(restricted_ ? 0u : 1u);
@@ -74,11 +75,34 @@ void solver::set_decision_vars(std::span<const var> vars)
     heap_pos_[e.v] = 0u;
   }
   heap_.clear();
-  decision_list_.assign(vars.begin(), vars.end());
+  decision_list_.clear();
   for (const var v : vars) {
-    decision_[v] = 1u;
-    if (assigns_[v] == lbool::l_undef) {
-      heap_insert(v);
+    add_to_scope(v);
+  }
+}
+
+void solver::add_to_scope(var v)
+{
+  const auto flag = [&](var u) {
+    if (decision_[u] != 0u) {
+      return false;
+    }
+    decision_[u] = 1u;
+    decision_list_.push_back(u);
+    if (assigns_[u] == lbool::l_undef) {
+      heap_insert(u);
+    }
+    return true;
+  };
+  flag(v);
+  // A collapsed variable's clauses were rewritten onto its
+  // representative, so the whole chain of representatives (one link per
+  // collapse run) joins the scope.  A link already flagged has had its
+  // own chain flagged the same way.
+  for (var r = v; rep_[r] != r;) {
+    r = rep_[r];
+    if (!flag(r)) {
+      break;
     }
   }
 }
@@ -299,6 +323,14 @@ void solver::enqueue(lit l, uint32_t reason)
 
 solver::conflict_ref solver::propagate()
 {
+  // Scope gating (set_decision_vars): inside solve() and above level 0,
+  // a literal outside the decision scope is never enqueued — its binary
+  // edge or watcher just stays where it is.  Level-0 propagation is
+  // never gated, so permanent facts always reach every variable.
+  const bool gated = gate_ && decision_level() != 0u;
+  const auto in_scope = [&](lit l) {
+    return !gated || decision_[l.variable()] != 0u;
+  };
   conflict_ref conflict;
   while (qhead_ < trail_.size()) {
     const lit p = trail_[qhead_++];
@@ -313,7 +345,7 @@ solver::conflict_ref solver::propagate()
         qhead_ = trail_.size();
         return conflict;
       }
-      if (v == lbool::l_undef) {
+      if (v == lbool::l_undef && in_scope(e.other)) {
         enqueue(e.other, reason_binary(~p));
       }
     }
@@ -337,7 +369,7 @@ solver::conflict_ref solver::propagate()
           while (i < ws.size()) {
             ws[j++] = ws[i++];
           }
-        } else {
+        } else if (in_scope(w.blocker)) {
           enqueue(w.blocker, w.cr);
         }
         continue;
@@ -374,7 +406,7 @@ solver::conflict_ref solver::propagate()
         while (i < ws.size()) {
           ws[j++] = ws[i++];
         }
-      } else {
+      } else if (in_scope(first)) {
         enqueue(first, w.cr);
       }
     }
@@ -757,7 +789,22 @@ result solver::solve(std::span<const lit> assumptions,
     ok_ = false;
     return result::unsat;
   }
+  if (restricted_) {
+    // Assumptions are decided whether listed or not; they join the
+    // scope so propagation from and into them stays ungated.
+    for (const lit a : assumptions) {
+      add_to_scope(a.variable());
+    }
+  }
+  gate_ = restricted_;
+  const result r = search(assumptions, conflict_budget);
+  gate_ = false;
+  return r;
+}
 
+result solver::search(std::span<const lit> assumptions,
+                      int64_t conflict_budget)
+{
   // Conflicts since the last consume_conflicts report; flushed at every
   // return so the governor's global accounting is exact.  A flush after
   // the answer is found only charges the pool — it never flips the
@@ -860,8 +907,14 @@ result solver::solve(std::span<const lit> assumptions,
       if (next.x == undef_lit_x) {
         next = pick_branch();
         if (next.x == undef_lit_x) {
-          // All variables assigned: model found.
+          // Every scope variable assigned: model found.  Variables left
+          // unassigned (outside the scope) read their saved phase.
           model_ = assigns_;
+          for (var v = 0; v < model_.size(); ++v) {
+            if (model_[v] == lbool::l_undef) {
+              model_[v] = from_bool(!polarity_[v]);
+            }
+          }
           backtrack(0u);
           return finish(result::sat);
         }
@@ -875,10 +928,7 @@ result solver::solve(std::span<const lit> assumptions,
 
 bool solver::model_value(var v) const
 {
-  if (v >= model_.size() || model_[v] == lbool::l_undef) {
-    return false;
-  }
-  return model_[v] == lbool::l_true;
+  return v < model_.size() && model_[v] == lbool::l_true;
 }
 
 void solver::copy_clauses(std::vector<std::vector<lit>>& out,

@@ -155,18 +155,25 @@ public:
   void set_var_activity(var v, double normalized);
   /// \}
 
-  /// Restricts branching to \p vars (plus assumptions) and rebuilds the
-  /// decision heap accordingly; stays in effect until the next call.  A
-  /// model then assigns these variables and whatever propagation reaches.
+  /// Sets the query scope: \p vars, the representative chain of every
+  /// listed variable that equivalent-literal collapsing eliminated (its
+  /// clauses were rewritten onto the representative, which may lie
+  /// outside the listed cone), and the assumptions of each solve().
+  /// The scope bounds both branching — the decision heap is rebuilt
+  /// over it — and propagation: inside solve(), above decision level 0,
+  /// a literal outside the scope is never enqueued, so implications stop
+  /// at the cone boundary instead of running through every gate encoded
+  /// so far.  Stays in effect until the next call.
+  ///
   /// Sound whenever every unlisted variable is functionally defined from
-  /// listed ones or free (circuit-cone CNF): a conflict-free,
-  /// propagation-closed assignment of the listed variables always
-  /// extends to a total model.  The caller must list the full *encoded*
-  /// support closure of the query, or partial models may not extend.
-  /// (Equivalent-literal collapsing preserves this: an eliminated
-  /// variable keeps its defining equivalence binaries, so it and its
-  /// representative propagate each other eagerly.)  Must be called at
-  /// decision level 0.
+  /// listed ones or free (circuit-cone CNF): out-of-scope variables are
+  /// never assigned above level 0, so every reason, conflict and learnt
+  /// clause lies inside the scope, and a conflict-free assignment of the
+  /// scope extends to a total model by evaluating the remaining gates.
+  /// The caller must list the full *encoded* support closure of the
+  /// query, or partial models may not extend.  A model leaves the
+  /// out-of-scope variables unassigned; `model_value` reads their saved
+  /// phase.  Must be called at decision level 0.
   void set_decision_vars(std::span<const var> vars);
 
   /// Installs (or clears, with nullptr) the cooperative resource hooks
@@ -184,7 +191,9 @@ public:
   result solve(std::span<const lit> assumptions = {},
                int64_t conflict_budget = -1);
 
-  /// Model value after `result::sat`.
+  /// Model value after `result::sat`.  A variable the search left
+  /// unassigned (outside the decision scope) reads the phase it had
+  /// saved when the model was found.
   bool model_value(var v) const;
 
   const solver_stats& stats() const noexcept { return stats_; }
@@ -284,6 +293,12 @@ private:
   /// Nulls every level-0 reason reference into \p cr before it is freed.
   void unhook_reasons(cref cr);
   void enqueue(lit l, uint32_t reason);
+  /// Flags \p v and its chain of collapse representatives as scope
+  /// variables (decision + propagation).
+  void add_to_scope(var v);
+  /// The CDCL loop of solve(), entered at level 0 after the entry
+  /// propagation, with propagation gated to the scope (if any).
+  result search(std::span<const lit> assumptions, int64_t conflict_budget);
   conflict_ref propagate();
   void analyze(const conflict_ref& conflict, std::vector<lit>& learnt,
                uint32_t& bt_level);
@@ -314,9 +329,13 @@ private:
   solver_options opt_;
   bool ok_ = true;
   bool restricted_ = false;       // set_decision_vars has been used
+  bool gate_ = false;             // inside search(): propagation gated
   bool preserve_phases_ = false;  // backtrack skips phase saving (inprocess)
-  std::vector<uint8_t> decision_; // var → may be picked by pick_branch
+  std::vector<uint8_t> decision_; // var → in scope (restricted) / decidable
   std::vector<var> decision_list_; // vars currently flagged (restricted)
+  /// var → representative it was collapsed onto (itself if never
+  /// eliminated); set by the inprocessor, followed by set_decision_vars.
+  std::vector<var> rep_;
 
   clause_db db_;
   binary_graph bin_;

@@ -17,8 +17,17 @@
 /// and the dimacs export/replay path is closed into a round-trip:
 /// a query exported from any config must replay to the same verdict
 /// under any other config.
+///
+/// Scope-gated propagation (set_decision_vars bounds propagation too)
+/// is pinned on seeded random AIG queries with inprocessing forced
+/// between almost every query — every sat model must be a real
+/// counter-example and every unsat answer must hold on an unscoped
+/// solver — and on a hand-built collapse whose representative lies
+/// outside the query cone.
 
 #include "gen/arithmetic.hpp"
+#include "gen/random_logic.hpp"
+#include "gen/redundancy.hpp"
 #include "sat/cnf_manager.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/encoder.hpp"
@@ -516,6 +525,196 @@ TEST(SolverDb, CnfManagerExportedQueryReplays)
   cnf.export_equivalence_query(os_c, out0, out0, true);
   std::istringstream is_c{os_c.str()};
   EXPECT_EQ(replay_dimacs(is_c), result::sat);
+}
+
+/// Circuit value of every node under one PI assignment.
+std::vector<uint8_t> evaluate_all(const net::aig_network& aig,
+                                  const std::vector<bool>& inputs)
+{
+  std::vector<uint8_t> value(aig.size(), 0u);
+  for (uint32_t i = 0; i < aig.num_pis(); ++i) {
+    value[aig.pi_at(i)] = inputs[i] ? 1u : 0u;
+  }
+  aig.foreach_gate([&](net::node n) {
+    const net::signal a = aig.fanin0(n);
+    const net::signal b = aig.fanin1(n);
+    value[n] = (value[a.get_node()] ^ (a.is_complemented() ? 1u : 0u)) &
+               (value[b.get_node()] ^ (b.is_complemented() ? 1u : 0u));
+  });
+  return value;
+}
+
+/// One 64-pattern simulation word per node (candidate-pair selection).
+std::vector<uint64_t> simulate_word(const net::aig_network& aig,
+                                    std::mt19937_64& rng)
+{
+  std::vector<uint64_t> word(aig.size(), 0u);
+  for (uint32_t i = 0; i < aig.num_pis(); ++i) {
+    word[aig.pi_at(i)] = rng();
+  }
+  aig.foreach_gate([&](net::node n) {
+    const net::signal a = aig.fanin0(n);
+    const net::signal b = aig.fanin1(n);
+    word[n] = (word[a.get_node()] ^ (a.is_complemented() ? ~0ull : 0ull)) &
+              (word[b.get_node()] ^ (b.is_complemented() ? ~0ull : 0ull));
+  });
+  return word;
+}
+
+/// Scope-gated propagation stays sound while inprocessing collapses
+/// equivalent literals between queries.  Redundant random AIGs supply
+/// true equivalences (unsat queries, whose learnt binaries feed the
+/// collapsing), simulation-alike false candidates and random pairs
+/// (sat queries).  Every sat model must separate the pair under plain
+/// circuit evaluation; every unsat answer must be unsat again on a
+/// fresh manager without cone scoping.
+TEST(SolverDb, GatedPropagationSoundUnderMidRunCollapse)
+{
+  uint64_t collapsed = 0;
+  uint64_t sat_answers = 0;
+  uint64_t unsat_answers = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    gen::random_logic_config rc;
+    rc.num_pis = 10;
+    rc.num_pos = 12;
+    rc.num_gates = 260;
+    rc.seed = seed;
+    const net::aig_network aig = gen::inject_redundancy(
+        gen::make_random_logic(rc), gen::redundancy_config{12, 3, seed, 4});
+
+    cnf_manager::params gated;
+    gated.inprocess_interval = 3;
+    gated.inprocess_min_clauses = 1;
+    cnf_manager cnf{aig, gated};
+    cnf_manager::params plain;
+    plain.cone_scoped_decisions = false;
+    plain.inprocess = false;
+
+    std::mt19937_64 rng{seed * 7919u};
+    const std::vector<uint64_t> word = simulate_word(aig, rng);
+    std::vector<net::node> gates;
+    aig.foreach_gate([&](net::node n) { gates.push_back(n); });
+
+    // (a, b, complement): simulation-alike pairs first (mostly
+    // equivalent), then random ones.
+    struct query
+    {
+      net::node a, b;
+      bool complement;
+    };
+    std::vector<query> queries;
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        const uint64_t wi = word[gates[i]];
+        const uint64_t wj = word[gates[j]];
+        if (wi == wj || wi == ~wj) {
+          queries.push_back(query{gates[i], gates[j], wi != wj});
+          break;
+        }
+      }
+    }
+    std::uniform_int_distribution<std::size_t> pick{0, gates.size() - 1u};
+    for (int k = 0; k < 60; ++k) {
+      const net::node a = gates[pick(rng)];
+      const net::node b = gates[pick(rng)];
+      queries.push_back(query{a, b, (rng() & 1u) != 0u});
+    }
+
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const net::signal a{queries[q].a, false};
+      const net::signal b{queries[q].b, false};
+      const bool complement = queries[q].complement;
+      const result r = cnf.prove_equivalent(a, b, complement, -1);
+      ASSERT_NE(r, result::unknown);
+      if (r == result::sat) {
+        ++sat_answers;
+        const std::vector<uint8_t> value =
+            evaluate_all(aig, cnf.model_inputs());
+        const int va = value[a.get_node()];
+        const int vb = value[b.get_node()] ^ (complement ? 1 : 0);
+        EXPECT_NE(va, vb)
+            << "seed " << seed << " query " << q
+            << ": model does not separate the pair";
+      } else {
+        ++unsat_answers;
+        cnf_manager check{aig, plain};
+        EXPECT_EQ(check.prove_equivalent(a, b, complement, -1),
+                  result::unsat)
+            << "seed " << seed << " query " << q;
+      }
+    }
+    collapsed += cnf.solver_statistics().lits_collapsed;
+  }
+  // The run must exercise both verdicts and mid-run collapses.
+  EXPECT_GT(sat_answers, 0u);
+  EXPECT_GT(unsat_answers, 0u);
+  EXPECT_GT(collapsed, 0u);
+}
+
+/// A collapse rewrites a cone's clauses onto a representative outside
+/// that cone: r = x·y is encoded first (smaller variable), and
+/// v = x·(y·(x+z)) ≡ r is collapsed onto it.  The scope lists only v's
+/// own cone; the representative must join it, or gated propagation
+/// stops at v and the query "v ∧ ¬x" (unsat: v implies x) finds a
+/// model.
+TEST(SolverDb, GatedPropagationFollowsCollapseRepresentative)
+{
+  solver s;
+  const var x = s.new_var();
+  const var y = s.new_var();
+  const var r = s.new_var();
+  const var z = s.new_var();
+  const var o = s.new_var(); // ¬x · ¬z, i.e. ¬(x + z)
+  const var t = s.new_var(); // y · (x + z)
+  const var v = s.new_var(); // x · t
+  const auto define_and = [&](var g, lit a, lit b) {
+    s.add_clause({neg(g), a});
+    s.add_clause({neg(g), b});
+    s.add_clause({pos(g), ~a, ~b});
+  };
+  define_and(r, pos(x), pos(y));
+  define_and(o, neg(x), neg(z));
+  define_and(t, pos(y), neg(o));
+  define_and(v, pos(x), pos(t));
+  // The proven equivalence r ≡ v, as the binaries an earlier query's
+  // learnt clauses would leave behind.
+  s.add_clause({neg(r), pos(v)});
+  s.add_clause({pos(r), neg(v)});
+
+  const inprocessor::outcome out = inprocessor::run(s, {}, nullptr);
+  ASSERT_FALSE(out.unsat);
+  ASSERT_GE(out.lits_collapsed, 1u);
+
+  const var cone[] = {x, y, z, o, t, v};
+  s.set_decision_vars(cone);
+  const lit refute[2] = {pos(v), neg(x)};
+  EXPECT_EQ(s.solve(refute), result::unsat);
+  const lit force[1] = {pos(v)};
+  ASSERT_EQ(s.solve(force), result::sat);
+  EXPECT_TRUE(s.model_value(x));
+  EXPECT_TRUE(s.model_value(y));
+  EXPECT_TRUE(s.model_value(r));
+}
+
+/// Out-of-scope variables stay unassigned under gating and read their
+/// saved phase in the model instead of a fixed false.
+TEST(SolverDb, UnassignedModelVariablesReadSavedPhase)
+{
+  solver s;
+  const var a = s.new_var();
+  const var b = s.new_var(); // outside the scope, implied by a
+  const var c = s.new_var(); // unrelated, outside the scope
+  s.add_clause({neg(a), pos(b)});
+  const var scope[] = {a};
+  s.set_decision_vars(scope);
+  s.set_phase(c, true);
+  const lit force[1] = {pos(a)};
+  ASSERT_EQ(s.solve(force), result::sat);
+  EXPECT_TRUE(s.model_value(a));
+  EXPECT_TRUE(s.model_value(c));
+  s.set_phase(c, false);
+  ASSERT_EQ(s.solve(force), result::sat);
+  EXPECT_FALSE(s.model_value(c));
 }
 
 } // namespace
