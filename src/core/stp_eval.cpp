@@ -25,13 +25,18 @@ uint64_t stp_evaluate_word(const tt::truth_table& table,
   if (inputs.size() != k) {
     throw std::invalid_argument{"stp_evaluate_word: arity mismatch"};
   }
+  // Table bits as all-ones/all-zeros masks, read straight from the
+  // packed words: no per-bit call and no data-dependent branch.
+  const uint64_t* const bits = table.words().data();
+  const auto mask = [bits](uint64_t i) {
+    return uint64_t{0} - ((bits[i >> 6u] >> (i & 63u)) & 1u);
+  };
   if (k == 0u) {
-    return table.bit(0u) ? ~uint64_t{0} : 0u;
+    return mask(0u);
   }
   if (k == 1u) {
     const uint64_t x = inputs[0];
-    return (x & (table.bit(1u) ? ~uint64_t{0} : 0u)) |
-           (~x & (table.bit(0u) ? ~uint64_t{0} : 0u));
+    return (x & mask(1u)) | (~x & mask(0u));
   }
   // First halving: consume the MSB variable straight from the table bits,
   // avoiding a 2^k block materialization.
@@ -40,9 +45,7 @@ uint64_t stp_evaluate_word(const tt::truth_table& table,
   {
     const uint64_t x = inputs[k - 1u];
     for (uint64_t i = 0; i < half; ++i) {
-      const uint64_t lo = table.bit(i) ? ~x : 0u;
-      const uint64_t hi = table.bit(i + half) ? x : 0u;
-      blocks[i] = lo | hi;
+      blocks[i] = (~x & mask(i)) | (x & mask(i + half));
     }
   }
   // Remaining halvings: one word multiplex per surviving block pair.
