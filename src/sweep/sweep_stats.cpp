@@ -25,6 +25,7 @@ void fill_cnf_stats(sweep_stats& stats, const sat::cnf_manager& cnf)
   const sat::solver_stats solver_totals = cnf.solver_statistics();
   stats.sat_conflicts = solver_totals.conflicts;
   stats.sat_decisions = solver_totals.decisions;
+  stats.sat_propagations = solver_totals.propagations;
   stats.sat_restarts = solver_totals.restarts;
   stats.sat_learnts_reduced = solver_totals.learnts_reduced;
   stats.sat_lbd_sum = solver_totals.lbd_sum;

@@ -96,6 +96,9 @@ struct sweep_stats
   /// \{
   uint64_t sat_conflicts = 0;
   uint64_t sat_decisions = 0;
+  /// Trail literals propagated (solve, level-0 and inprocessing alike);
+  /// scope-gated propagation aims at this one.
+  uint64_t sat_propagations = 0;
   uint64_t sat_restarts = 0;
   /// Solver variables whose saved polarity was seeded from a signature
   /// word at encode time (0 when `use_signature_phase` is off or for
@@ -182,6 +185,7 @@ constexpr void for_each_counter(Fn&& fn)
   fn("sat_clauses_peak", &s::sat_clauses_peak, all);
   fn("sat_conflicts", &s::sat_conflicts, all);
   fn("sat_decisions", &s::sat_decisions, all);
+  fn("sat_propagations", &s::sat_propagations, all);
   fn("sat_restarts", &s::sat_restarts, all);
   fn("sat_learnts_reduced", &s::sat_learnts_reduced, all);
   fn("sat_lbd_sum", &s::sat_lbd_sum, all);
