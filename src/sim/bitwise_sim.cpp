@@ -73,37 +73,6 @@ signature_store simulate_klut_bitwise(const net::klut_network& klut,
   return sig;
 }
 
-void resimulate_aig_last_word(const net::aig_network& aig,
-                              const pattern_set& patterns,
-                              signature_store& signatures)
-{
-  const std::size_t words = patterns.num_words();
-  if (words == 0u) {
-    return;
-  }
-  if (signatures.size() < aig.size()) {
-    throw std::invalid_argument{"resimulate_aig_last_word: store too small"};
-  }
-  while (signatures.num_words() < words) {
-    signatures.append_word();
-  }
-  const std::size_t last = words - 1u;
-  signatures.word(0u, last) = 0u;
-  aig.foreach_pi([&](net::node n) {
-    signatures.word(n, last) = patterns.input_word(n - 1u, last);
-  });
-  aig.foreach_gate([&](net::node n) {
-    const net::signal a = aig.fanin0(n);
-    const net::signal b = aig.fanin1(n);
-    const uint64_t va = signatures.word(a.get_node(), last) ^
-                        (a.is_complemented() ? ~uint64_t{0} : 0u);
-    const uint64_t vb = signatures.word(b.get_node(), last) ^
-                        (b.is_complemented() ? ~uint64_t{0} : 0u);
-    signatures.word(n, last) = va & vb;
-  });
-  signatures.mask_tail(patterns.num_patterns());
-}
-
 void resimulate_aig_all_last_word(const net::aig_network& aig,
                                   const pattern_set& patterns,
                                   signature_store& signatures)

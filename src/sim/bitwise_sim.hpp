@@ -10,9 +10,8 @@
 ///   individual input bits, assembles a LUT index, and looks the output
 ///   bit up — no word parallelism.  This is the `TL` baseline the STP
 ///   simulator beats by ~7×.
-/// * `resimulate_aig_last_word` recomputes only the final word after a
-///   counter-example is appended; both sweepers absorb counter-examples
-///   with the plan-driven `resimulate_aig_all_last_word` instead.
+/// * `resimulate_aig_all_last_word` is the incremental path used when a
+///   counter-example is appended: only the final word is recomputed.
 #pragma once
 
 #include "network/aig.hpp"
@@ -31,21 +30,14 @@ signature_store simulate_aig(const net::aig_network& aig,
 signature_store simulate_klut_bitwise(const net::klut_network& klut,
                                       const pattern_set& patterns);
 
-/// Recomputes only the last signature word after patterns were appended;
-/// signatures for earlier words must already be valid.  Grows the store
-/// by a word if the pattern set acquired a new one.
-void resimulate_aig_last_word(const net::aig_network& aig,
-                              const pattern_set& patterns,
-                              signature_store& signatures);
-
-/// Like `resimulate_aig_last_word`, but evaluates *every* node id —
-/// dead gates included.  Substitutions are function-preserving and a
-/// dead gate keeps the fanin fields it died with, so an id-order pass
-/// over the whole node array yields each node's original function under
-/// the patterns, even for class members that merged away.  This is how
-/// the STP sweeper absorbs counter-examples.  Unlike the incremental
-/// variant, the last word is recomputed entirely from the pattern words,
-/// so earlier signature words need not be live.
+/// Recomputes only the last signature word after patterns were appended
+/// (growing the store by a word if the pattern set acquired a new one),
+/// evaluating *every* node id — dead gates included.  Substitutions are
+/// function-preserving and a dead gate keeps the fanin fields it died
+/// with, so an id-order pass over the whole node array yields each
+/// node's original function under the patterns, even for class members
+/// that merged away.  The word is computed from the pattern words
+/// alone, so earlier signature words need not be live.
 void resimulate_aig_all_last_word(const net::aig_network& aig,
                                   const pattern_set& patterns,
                                   signature_store& signatures);

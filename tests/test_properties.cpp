@@ -246,8 +246,8 @@ TEST_P(StoreTrimFuzz, RefinementUnchangedWhenAbsorbedWordsTrimmed)
       ce[i] = (rng() & 1u) != 0u;
     }
     patterns.add_pattern(ce);
-    sim::resimulate_aig_last_word(aig, patterns, ref);
-    sim::resimulate_aig_last_word(aig, patterns, trimmed);
+    sim::resimulate_aig_all_last_word(aig, patterns, ref);
+    sim::resimulate_aig_all_last_word(aig, patterns, trimmed);
 
     const std::size_t last = patterns.num_words() - 1u;
     const uint64_t mask = sim::tail_mask(patterns.num_patterns());

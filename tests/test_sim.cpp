@@ -233,7 +233,7 @@ TEST(Simulate, IncrementalLastWordMatchesFullResim)
       ce.push_back(((i + j) % 3u) == 0u);
     }
     patterns.add_pattern(ce);
-    sim::resimulate_aig_last_word(aig, patterns, sig);
+    sim::resimulate_aig_all_last_word(aig, patterns, sig);
   }
   const auto full = sim::simulate_aig(aig, patterns);
   aig.foreach_gate([&](net::node n) { EXPECT_EQ(sig[n], full[n]); });
