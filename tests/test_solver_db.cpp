@@ -33,6 +33,7 @@
 #include "sat/encoder.hpp"
 #include "sat/inprocess.hpp"
 #include "sat/solver.hpp"
+#include "sim/bitwise_sim.hpp"
 
 #include <gtest/gtest.h>
 
@@ -527,40 +528,6 @@ TEST(SolverDb, CnfManagerExportedQueryReplays)
   EXPECT_EQ(replay_dimacs(is_c), result::sat);
 }
 
-/// Circuit value of every node under one PI assignment.
-std::vector<uint8_t> evaluate_all(const net::aig_network& aig,
-                                  const std::vector<bool>& inputs)
-{
-  std::vector<uint8_t> value(aig.size(), 0u);
-  for (uint32_t i = 0; i < aig.num_pis(); ++i) {
-    value[aig.pi_at(i)] = inputs[i] ? 1u : 0u;
-  }
-  aig.foreach_gate([&](net::node n) {
-    const net::signal a = aig.fanin0(n);
-    const net::signal b = aig.fanin1(n);
-    value[n] = (value[a.get_node()] ^ (a.is_complemented() ? 1u : 0u)) &
-               (value[b.get_node()] ^ (b.is_complemented() ? 1u : 0u));
-  });
-  return value;
-}
-
-/// One 64-pattern simulation word per node (candidate-pair selection).
-std::vector<uint64_t> simulate_word(const net::aig_network& aig,
-                                    std::mt19937_64& rng)
-{
-  std::vector<uint64_t> word(aig.size(), 0u);
-  for (uint32_t i = 0; i < aig.num_pis(); ++i) {
-    word[aig.pi_at(i)] = rng();
-  }
-  aig.foreach_gate([&](net::node n) {
-    const net::signal a = aig.fanin0(n);
-    const net::signal b = aig.fanin1(n);
-    word[n] = (word[a.get_node()] ^ (a.is_complemented() ? ~0ull : 0ull)) &
-              (word[b.get_node()] ^ (b.is_complemented() ? ~0ull : 0ull));
-  });
-  return word;
-}
-
 /// Scope-gated propagation stays sound while inprocessing collapses
 /// equivalent literals between queries.  Redundant random AIGs supply
 /// true equivalences (unsat queries, whose learnt binaries feed the
@@ -591,7 +558,8 @@ TEST(SolverDb, GatedPropagationSoundUnderMidRunCollapse)
     plain.inprocess = false;
 
     std::mt19937_64 rng{seed * 7919u};
-    const std::vector<uint64_t> word = simulate_word(aig, rng);
+    const sim::signature_store sig = sim::simulate_aig(
+        aig, sim::pattern_set::random(aig.num_pis(), 64u, seed));
     std::vector<net::node> gates;
     aig.foreach_gate([&](net::node n) { gates.push_back(n); });
 
@@ -605,8 +573,8 @@ TEST(SolverDb, GatedPropagationSoundUnderMidRunCollapse)
     std::vector<query> queries;
     for (std::size_t i = 0; i < gates.size(); ++i) {
       for (std::size_t j = 0; j < i; ++j) {
-        const uint64_t wi = word[gates[i]];
-        const uint64_t wj = word[gates[j]];
+        const uint64_t wi = sig.word(gates[i], 0u);
+        const uint64_t wj = sig.word(gates[j], 0u);
         if (wi == wj || wi == ~wj) {
           queries.push_back(query{gates[i], gates[j], wi != wj});
           break;
@@ -628,10 +596,12 @@ TEST(SolverDb, GatedPropagationSoundUnderMidRunCollapse)
       ASSERT_NE(r, result::unknown);
       if (r == result::sat) {
         ++sat_answers;
-        const std::vector<uint8_t> value =
-            evaluate_all(aig, cnf.model_inputs());
-        const int va = value[a.get_node()];
-        const int vb = value[b.get_node()] ^ (complement ? 1 : 0);
+        sim::pattern_set model{aig.num_pis()};
+        model.add_pattern(cnf.model_inputs());
+        const sim::signature_store value = sim::simulate_aig(aig, model);
+        const int va = static_cast<int>(value.word(a.get_node(), 0u) & 1u);
+        const int vb = static_cast<int>(value.word(b.get_node(), 0u) & 1u) ^
+                       (complement ? 1 : 0);
         EXPECT_NE(va, vb)
             << "seed " << seed << " query " << q
             << ": model does not separate the pair";
@@ -696,15 +666,13 @@ TEST(SolverDb, GatedPropagationFollowsCollapseRepresentative)
   EXPECT_TRUE(s.model_value(r));
 }
 
-/// Out-of-scope variables stay unassigned under gating and read their
-/// saved phase in the model instead of a fixed false.
+/// Variables outside the scope stay unassigned and read their saved
+/// phase in the model instead of a fixed false.
 TEST(SolverDb, UnassignedModelVariablesReadSavedPhase)
 {
   solver s;
   const var a = s.new_var();
-  const var b = s.new_var(); // outside the scope, implied by a
-  const var c = s.new_var(); // unrelated, outside the scope
-  s.add_clause({neg(a), pos(b)});
+  const var c = s.new_var(); // outside the scope
   const var scope[] = {a};
   s.set_decision_vars(scope);
   s.set_phase(c, true);
