@@ -377,11 +377,10 @@ int main(int argc, char** argv)
 
     // Ablation proof: flags off (per-query scratch CNF, unbounded
     // stores, no signature phase seeding, unrestricted decisions, flat
-    // window support, ungrouped round-2 guidance, no learnt reduction or
-    // inprocessing) must land on exactly the same result network size,
-    // and be CEC-equivalent — the flags only change when and where work
-    // is paid, or which (equally valid) counter-examples steer the
-    // refinement there.
+    // window support, no learnt reduction or inprocessing) must land on
+    // exactly the same result network size, and be CEC-equivalent — the
+    // flags only change when and where work is paid, or which (equally
+    // valid) counter-examples steer the refinement there.
     sweep::sweep_stats as;
     bool ablation_match = false;
     if (ablation) {
@@ -393,7 +392,6 @@ int main(int argc, char** argv)
       off.use_signature_phase = false;
       off.use_cone_scoped_decisions = false;
       off.window_scale_gates = 0u; // flat window support
-      off.guided.round2_group_by_signature = false;
       off.sat_reduce = false;      // epoch-only learnt retention
       off.sat_inprocess = false;   // no between-query simplification
       // Fresh governor, same limits: the main run may have spent its

@@ -177,35 +177,8 @@ guided_pattern_result guided_rounds(const net::aig_network& aig,
     toward_ones = few_ones;
     return few_ones || few_zeros;
   };
-  std::size_t queries = 0;
-  const auto query_gate = [&](net::node n, bool toward_ones) {
-    ++queries;
-    ++result.sat_calls;
-    const auto t_sat = sweep_clock::now();
-    const auto witness = cnf.find_assignment(
-        net::signal{n, false}, toward_ones, config.conflict_budget);
-    result.sat_seconds += seconds_since(t_sat);
-    if (witness.has_value()) {
-      ++result.satisfiable_calls;
-      absorb_witness(*witness);
-    }
-  };
 
   if (stopped()) {
-    return result;
-  }
-
-  if (!config.round2_group_by_signature) {
-    // Ablation baseline: one query per still-near-constant gate.
-    for (const net::node n : gates) {
-      bool toward_ones = false;
-      uint64_t ones = 0;
-      if (proven[n] || queries >= config.max_round2_queries || stopped() ||
-          !near_constant(n, toward_ones, ones)) {
-        continue;
-      }
-      query_gate(n, toward_ones);
-    }
     return result;
   }
 
@@ -247,6 +220,7 @@ guided_pattern_result guided_rounds(const net::aig_network& aig,
               return a.minority != b.minority ? a.minority < b.minority
                                               : a.first < b.first;
             });
+  std::size_t queries = 0;
   for (const round2_group& group : groups) {
     if (queries >= config.max_round2_queries || stopped()) {
       break;
@@ -256,10 +230,20 @@ guided_pattern_result guided_rounds(const net::aig_network& aig,
     for (const net::node n : group.members) {
       bool toward_ones = false;
       uint64_t ones = 0;
-      if (near_constant(n, toward_ones, ones)) {
-        query_gate(n, toward_ones);
-        break;
+      if (!near_constant(n, toward_ones, ones)) {
+        continue;
       }
+      ++queries;
+      ++result.sat_calls;
+      const auto t_sat = sweep_clock::now();
+      const auto witness = cnf.find_assignment(
+          net::signal{n, false}, toward_ones, config.conflict_budget);
+      result.sat_seconds += seconds_since(t_sat);
+      if (witness.has_value()) {
+        ++result.satisfiable_calls;
+        absorb_witness(*witness);
+      }
+      break;
     }
   }
 

@@ -14,21 +14,31 @@
 /// * **Round 2** — for gates whose signature has only a few ones (or
 ///   zeros), ask SAT for assignments producing the minority value, so
 ///   signatures gain toggles and distinguish more class candidates.
+///   The near-constant gates are grouped by complement-normalized
+///   signature (prospective equivalence classes) and ranked by
+///   minority-bit count, lowest first; each group gets *one* query.  On
+///   deep random logic near-constant gates are strongly correlated, and
+///   one query per gate burned a satisfiable call per member of a group
+///   that any single witness diversifies whole.
 ///
 /// Witnesses are absorbed by vectorized whole-AIG last-word
 /// resimulation (sim::resimulate_aig_all_last_word over one
 /// sim::resim_plan): the AIG does not change while the rounds run, so
 /// the plan taken at entry stays exact.
 ///
-/// **Sharded prologue** (`sharded_guided_patterns`): gate i, counted in
-/// `foreach_gate` order, belongs to slice i mod `shards`.  Each slice
-/// runs both rounds on its own worker with its own fresh cnf_manager,
-/// its own simulation of the frozen AIG and only its own witnesses; the
-/// round-2 budget is split evenly (rounded up).  The calling thread then
-/// merges in canonical order — the random base, slice 0's witnesses,
-/// slice 1's, … — and substitutes the union of proven constants in
-/// ascending node id, so the result is a pure function of the shard
-/// count, never of the thread count.
+/// **Sharded prologue** (`sharded_guided_patterns`), the STP sweeper's
+/// prologue at every shard count: gate i, counted in `foreach_gate`
+/// order, belongs to slice i mod `shards`.  Each slice runs both rounds
+/// on its own worker with its own fresh cnf_manager, its own simulation
+/// of the frozen AIG and only its own witnesses; the round-2 budget is
+/// split evenly (rounded up).  The calling thread then merges in
+/// canonical order — the random base, slice 0's witnesses, slice 1's, …
+/// — and substitutes the union of proven constants in ascending node
+/// id, so the result is a pure function of the shard count, never of
+/// the thread count.  One shard is one slice of every gate: it poses
+/// exactly `sat_guided_patterns`' queries and returns its result, on a
+/// manager of its own.  The fraig baseline keeps `sat_guided_patterns`
+/// on its one sweep-long manager (`initial_patterns`).
 #pragma once
 
 #include "network/aig.hpp"
@@ -53,15 +63,6 @@ struct guided_pattern_config
   uint32_t round1_iterations = 2;  ///< re-simulate & retry rounds
   uint64_t round2_ones_threshold = 2;  ///< "few ones" bound for round 2
   std::size_t max_round2_queries = 512;
-  /// Round-2 queries re-targeted by signature-group entropy: candidates
-  /// are grouped by their complement-normalized signature (prospective
-  /// equivalence classes), groups are ranked by minority-bit count
-  /// (lowest entropy — the most constant-looking — first), and each
-  /// group gets *one* guided query.  On deep random logic near-constant
-  /// gates are strongly correlated, so the old per-gate loop burned one
-  /// satisfiable SAT call per member of a group any single witness
-  /// would have diversified whole.  false = the per-gate loop.
-  bool round2_group_by_signature = true;
   /// Seed each guided query's cone phases from the current signatures
   /// (stp_sweep_params::use_signature_phase; the STP sweeper forwards
   /// its flag — the fraig baseline leaves it off).

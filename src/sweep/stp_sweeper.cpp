@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -188,14 +187,12 @@ struct merge_record
 /// pattern/signature/class state.
 ///
 /// The AIG is frozen (shared read-only by all shards) and proven merges
-/// append a `merge_record` instead of rewiring it.  A lone shard takes
-/// over the serial prologue's simulation state and continues on its
-/// `sat::cnf_manager`.  With several shards the prologue ran sharded on
-/// managers that are gone by now; each core gets private copies of the
-/// merged pattern set and classes, a signature store holding only the
-/// live (open) word, and a fresh manager of its own.  Either way a
-/// shard's trajectory is a pure function of its inputs — independent of
-/// how shards are scheduled onto threads.
+/// append a `merge_record` instead of rewiring it.  The prologue ran on
+/// managers that are gone by now; at every shard count, one included,
+/// each core gets private copies of the merged pattern set and classes,
+/// a signature store holding only the live (open) word, and a fresh
+/// manager of its own.  A shard's trajectory is a pure function of its
+/// inputs — independent of how shards are scheduled onto threads.
 class sweep_core
 {
 public:
@@ -560,25 +557,19 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   cnf_params.faults = params.faults;
 
   const uint32_t shards = params.effective_sat_shards();
-  const bool lone_shard = shards == 1u;
   const uint32_t workers_used =
       std::min(std::max(params.threads, 1u), shards);
   // One pool serves both parallel phases; a single worker runs every
   // job on the calling thread.
   worker_pool pool{workers_used > 1u ? workers_used : 0u};
-  // A lone shard runs the prologue and the candidate loop on this one
-  // manager; several shards build theirs on the workers.
-  std::optional<sat::cnf_manager> lone_cnf;
-  if (lone_shard) {
-    lone_cnf.emplace(aig, cnf_params);
-  }
 
   // ---- Initial patterns (Alg. 2 line 2) + constant propagation (line 3).
   // The per-round simulation budget scales with the gate count (capped at
   // guided.base_patterns), so tiny instances stop over-investing in
-  // simulation.  With several shards the guided prologue is sharded too
+  // simulation.  The guided prologue is sharded like the SAT phase
   // (sat_patterns.hpp): each shard proves its slice of the constant and
-  // near-constant queries.
+  // near-constant queries on a manager of its own — one shard's slice is
+  // every gate.
   guided_pattern_config guided_config = params.guided;
   guided_config.base_patterns =
       params.effective_pattern_budget(aig.num_gates());
@@ -586,13 +577,9 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
       params.effective_round2_queries(aig.num_gates());
   guided_config.use_signature_phase = params.use_signature_phase;
   guided_config.governor = params.governor;
-  sim::pattern_set patterns =
-      lone_shard
-          ? initial_patterns(aig, *lone_cnf, guided_config,
-                             params.use_guided_patterns, stats)
-          : sharded_initial_patterns(aig, cnf_params, guided_config,
-                                     params.use_guided_patterns, shards,
-                                     pool, stats);
+  const sim::pattern_set patterns = sharded_initial_patterns(
+      aig, cnf_params, guided_config, params.use_guided_patterns, shards,
+      pool, stats);
 
   if (governor_stopped(params)) {
     // Aborted during pattern generation: the constants applied above
@@ -602,9 +589,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     aig.cleanup_dangling();
     stats.gates_after = aig.num_gates();
     stats.outcome = params.governor->outcome();
-    if (lone_shard) {
-      fill_cnf_stats(stats, *lone_cnf); // sharded: summed by the prologue
-    }
     stats.worker_sat_seconds = {0.0};
     stats.total_seconds = seconds_since(t_total);
     return stats;
@@ -652,6 +636,16 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     }
   };
 
+  // Every word before the open one is absorbed by the class build above,
+  // so each shard starts from a copy born trimmed up to the open word,
+  // and the node-major base arena is released here instead of living
+  // on, untrimmable, for the whole sweep.  With trimming off (no word
+  // budget, or the injected trim failure) the shards keep every word,
+  // as budgeted.
+  const sim::signature_store shard_sig = sig.copy_live_words(
+      may_trim(params) ? first_unabsorbed_word(patterns) : 0u);
+  sig = sim::signature_store{};
+
   const std::vector<net::node> order = net::reverse_topo_order(aig);
 
   // ---- SAT phase: class-sharded sweeping. ------------------------------
@@ -659,7 +653,7 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // id) into `shards` shards — one shard is the single-thread sweep.
   // Classes never interact during querying — drivers come from the
   // candidate's own class — so each shard sweeps its classes against
-  // the frozen AIG with fully private state: its own cnf_manager, its
+  // the frozen AIG with fully private state: a fresh cnf_manager, its
   // own copies of the pattern set, the live signature words and the
   // class partition (non-owned classes dissolved).  Only the
   // resimulation plan is shared, read-only.  Proven merges are
@@ -693,25 +687,11 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   };
   std::vector<shard_result> shard_results(shards);
 
-  // A lone shard continues on the prologue's manager, which already
-  // holds the encoded cones and learnt clauses of the guided queries,
-  // and takes over the simulation state instead of copying it.  Several
-  // shards each start a fresh manager, so that no shard's trajectory
-  // depends on which shard would have inherited it.  Their signature
-  // stores hold only the open word: every earlier word is absorbed by
-  // the class build above, and the open word is partial, so a full copy
-  // would keep the node-major base arena alive — untrimmable — in every
-  // shard for the whole sweep.  With trimming off (no word budget, or
-  // the injected trim failure) each shard keeps every word, as budgeted.
-  const bool trim_shard_stores = may_trim(params);
-  const std::size_t open_word = first_unabsorbed_word(patterns);
   pool.run(shards, [&](std::size_t s) {
     shard_result& out = shard_results[s];
-    std::optional<sat::cnf_manager> fresh_cnf;
-    sat::cnf_manager& shard_cnf =
-        lone_shard ? *lone_cnf : fresh_cnf.emplace(aig, cnf_params);
+    sat::cnf_manager shard_cnf{aig, cnf_params};
     hint_fn(shard_cnf);
-    equiv_classes shard_classes = lone_shard ? std::move(classes) : classes;
+    equiv_classes shard_classes = classes;
     for (uint32_t c = 0; c < shard_classes.num_class_ids(); ++c) {
       if (owner_of_class[c] != static_cast<uint32_t>(s)) {
         shard_classes.dissolve_class(c);
@@ -723,10 +703,8 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
                     out.stats,
                     stats.gates_before,
                     plan,
-                    lone_shard ? std::move(patterns) : patterns,
-                    lone_shard          ? std::move(sig)
-                    : trim_shard_stores ? sig.copy_live_words(open_word)
-                                        : sig,
+                    patterns,
+                    shard_sig,
                     std::move(shard_classes),
                     out.records};
     core.run(shard_order[s]);
@@ -735,12 +713,13 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   });
 
   // ---- Merge the per-shard accounting (ascending shard order). ---------
-  // Counters are *sums over shards* on top of the prologue's:
+  // Counters are *sums over shards* on top of the prologue's, whose
+  // slice managers were summed into `stats` already:
   // `sat_clauses_peak` in particular is the sum of per-manager peaks,
-  // not a global simultaneous peak.  A lone shard's manager counters
-  // include its prologue's; a sharded prologue summed its own managers'
-  // into `stats` already.  `worker_sat_seconds` covers the candidate
-  // loop only, never the prologue.
+  // not a global simultaneous peak, and `sat_nodes_encoded` counts every
+  // manager's encodes — a prologue manager's and its shard's alike, even
+  // at one shard.  `worker_sat_seconds` covers the candidate loop only,
+  // never the prologue.
   stats.sat_shards = shards;
   stats.workers_used = workers_used;
   stats.worker_sat_seconds.assign(workers_used, 0.0);

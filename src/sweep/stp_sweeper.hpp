@@ -7,10 +7,10 @@
 /// 1. **SAT-guided initial patterns** (§IV-A, two rounds): constants are
 ///    proven and propagated up front, and near-constant signatures are
 ///    diversified, so the initial equivalence classes contain far fewer
-///    false candidates.  With several shards the rounds run sharded too:
+///    false candidates.  The rounds run sharded like the SAT phase:
 ///    each shard queries its own round-robin slice of the gates, and the
 ///    witnesses and constants merge in canonical order
-///    (sweep::sharded_initial_patterns).
+///    (sweep::sharded_initial_patterns; one shard's slice is every gate).
 /// 2. **Reverse topological candidate order** with complement-aware
 ///    generalized classes (Alg. 2 lines 4, 10-11).
 /// 3. **TFI-bounded driver selection** (lines 12-17; limit n = 1000).
@@ -127,23 +127,22 @@ struct stp_sweep_params
 
   /// \name Parallel SAT phase (class-sharded)
   /// \{
-  /// Worker threads for the guided prologue and the SAT phase.  With
-  /// `effective_sat_shards()` > 1 the prologue's gates are split
-  /// round-robin into that many slices, each proven on a fresh
+  /// Worker threads for the guided prologue and the SAT phase.  The
+  /// prologue's gates are split round-robin into
+  /// `effective_sat_shards()` slices, each proven on a fresh
   /// thread-local manager and merged in shard order (the round-2 query
   /// budget is split evenly).  The candidate classes are then
   /// partitioned into the same number of shards and swept over the
   /// *frozen* AIG, recording proven merges instead of applying them;
   /// each shard starts another fresh manager with private copies of the
-  /// pattern set and classes and only the live signature word.  A lone
-  /// shard runs the serial prologue and continues on its
-  /// `sat::cnf_manager`, taking over its signature/pattern state.
-  /// Proven merges are then committed on the calling thread in
-  /// deterministic canonical order (ascending node id).  The sweep
-  /// *trajectory* is a pure function of the shard count — running 4
-  /// shards on 1 thread or on 4 threads is byte-identical in every
-  /// counter and in the result network.  A single-thread sweep is the
-  /// one-shard case of the same path.
+  /// pattern set and classes and only the live signature word.  Proven
+  /// merges are then committed on the calling thread in deterministic
+  /// canonical order (ascending node id).  The sweep *trajectory* is a
+  /// pure function of the shard count — running 4 shards on 1 thread or
+  /// on 4 threads is byte-identical in every counter and in the result
+  /// network.  A single-thread sweep is the one-shard case of the same
+  /// path: one slice holding every gate, then one shard owning every
+  /// class, each on a manager of its own.
   uint32_t threads = 1;
   /// Shard count of the parallel phase; 0 = one shard per thread.
   /// Fixing `sat_shards` while varying `threads` reproduces identical

@@ -20,6 +20,7 @@
 ///    loop — and the partial result stays sound.
 /// 4. **Sharded prologue soundness** — every constant a slice proves is
 ///    a real constant, and the merge lists them in ascending node id.
+///    One shard's prologue is the serial one, bit for bit.
 #include "gen/benchmarks.hpp"
 #include "gen/random_logic.hpp"
 #include "gen/redundancy.hpp"
@@ -250,13 +251,15 @@ TEST(ParallelSweep, ShardedPrologueProvesOnlyRealConstants)
   // Every slice proves constants on its own manager; each one the merge
   // reports must be a real constant (simulation never toggles it, and
   // an independent solver proves it), and sweeps at that shard count
-  // stay CEC-equivalent.  The instances plant hidden constants.
+  // stay CEC-equivalent.  The instances plant hidden constants.  One
+  // shard — the single-thread sweep's prologue — must return exactly
+  // what the serial rounds return on a fresh manager.
   for (const uint64_t seed : {12u, 13u}) {
     const net::aig_network original = test_instance(seed);
     const sim::pattern_set probe =
         sim::pattern_set::random(original.num_pis(), 4096u, 0xc0ffeeu + seed);
     const sim::signature_store probe_sig = sim::simulate_aig(original, probe);
-    for (const uint32_t shards : {2u, 3u, 4u}) {
+    for (const uint32_t shards : {1u, 2u, 3u, 4u}) {
       sweep::guided_pattern_config config;
       config.base_patterns = 256u;
       config.max_round2_queries = 32u;
@@ -271,6 +274,26 @@ TEST(ParallelSweep, ShardedPrologueProvesOnlyRealConstants)
       EXPECT_EQ(result.patterns.num_patterns(),
                 config.base_patterns + result.patterns_added);
       EXPECT_GT(counters.sat_nodes_encoded, 0u);
+      if (shards == 1u) {
+        sat::cnf_manager cnf{original};
+        const auto serial = sweep::sat_guided_patterns(original, cnf, config);
+        EXPECT_EQ(result.proven_constants, serial.proven_constants)
+            << "seed " << seed;
+        EXPECT_EQ(result.sat_calls, serial.sat_calls) << "seed " << seed;
+        EXPECT_EQ(result.satisfiable_calls, serial.satisfiable_calls)
+            << "seed " << seed;
+        ASSERT_EQ(result.patterns.num_patterns(),
+                  serial.patterns.num_patterns())
+            << "seed " << seed;
+        uint64_t differing_bits = 0;
+        for (uint32_t i = 0; i < original.num_pis(); ++i) {
+          for (uint64_t p = 0; p < result.patterns.num_patterns(); ++p) {
+            differing_bits += result.patterns.bit(i, p) !=
+                              serial.patterns.bit(i, p);
+          }
+        }
+        EXPECT_EQ(differing_bits, 0u) << "seed " << seed;
+      }
       for (const auto& [n, value] : result.proven_constants) {
         const uint64_t expect = value ? ~uint64_t{0} : 0u;
         for (std::size_t w = 0; w < probe_sig.num_words(); ++w) {
