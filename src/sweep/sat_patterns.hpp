@@ -107,18 +107,19 @@ guided_pattern_result sharded_guided_patterns(
     const guided_pattern_config& config, uint32_t shards, worker_pool& pool,
     sweep_stats& sat_counters);
 
-/// Alg. 2 lines 2-3, shared by both sweepers: runs both guidance rounds
-/// (\p guided) or draws `config.base_patterns` random patterns,
-/// substitutes every proven constant into \p aig, and books the calls,
-/// merges and seconds (`prologue_*` included) in \p stats.  Returns the
-/// initial pattern set.
+/// Alg. 2 lines 2-3 on the caller's manager (the fraig baseline's): runs
+/// both guidance rounds (\p guided) or draws `config.base_patterns`
+/// random patterns, substitutes every proven constant into \p aig, and
+/// books the calls, merges and seconds (`prologue_*` included) in
+/// \p stats.  Returns the initial pattern set.
 sim::pattern_set initial_patterns(net::aig_network& aig,
                                   sat::cnf_manager& cnf,
                                   const guided_pattern_config& config,
                                   bool guided, sweep_stats& stats);
 
-/// `initial_patterns` on `sharded_guided_patterns`; the slices' manager
-/// counters are added to \p stats as well.
+/// `initial_patterns` on `sharded_guided_patterns` (the STP sweeper's,
+/// at every shard count); the slices' manager counters are added to
+/// \p stats as well.
 sim::pattern_set sharded_initial_patterns(
     net::aig_network& aig, const sat::cnf_manager::params& cnf_params,
     const guided_pattern_config& config, bool guided, uint32_t shards,
