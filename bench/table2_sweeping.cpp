@@ -98,8 +98,8 @@ void write_value(std::FILE* f, const std::vector<double>& v)
 }
 
 /// One engine object: every counter of the sweep_stats counter table
-/// whose scope the engine fills — fraig has no phase seeding, shards or
-/// word budget, so it omits the STP-only and store keys.
+/// whose scope the engine fills — fraig has no phase seeding or shards,
+/// so it omits the STP-only keys.
 void write_engine_json(std::FILE* f, const char* key,
                        const stps::sweep::sweep_stats& s)
 {
@@ -110,8 +110,7 @@ void write_engine_json(std::FILE* f, const char* key,
       [&](const char* name, auto field, counter_scope scope) {
         const bool emitted =
             scope == counter_scope::all ||
-            (scope == counter_scope::stp && !s.worker_sat_seconds.empty()) ||
-            (scope == counter_scope::store && s.has_store_counters);
+            (scope == counter_scope::stp && !s.worker_sat_seconds.empty());
         if (emitted) {
           std::fprintf(f, "%s\"%s\": ", sep, name);
           write_value(f, s.*field);
@@ -375,8 +374,8 @@ int main(int argc, char** argv)
            sweep::check_equivalence(original, by_stp, cec_config).equivalent;
     }
 
-    // Ablation proof: flags off (per-query scratch CNF, unbounded
-    // stores, no signature phase seeding, unrestricted decisions, flat
+    // Ablation proof: flags off (per-query scratch CNF, no garbage
+    // epochs, no signature phase seeding, unrestricted decisions, flat
     // window support, no learnt reduction or inprocessing) must land on
     // exactly the same result network size, and be CEC-equivalent — the
     // flags only change when and where work is paid, or which (equally
@@ -388,7 +387,6 @@ int main(int argc, char** argv)
       sweep::stp_sweep_params off = params;
       off.use_incremental_cnf = false;
       off.sat_clause_budget = 0u;
-      off.store_word_budget = 0u;
       off.use_signature_phase = false;
       off.use_cone_scoped_decisions = false;
       off.window_scale_gates = 0u; // flat window support

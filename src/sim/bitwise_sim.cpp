@@ -2,6 +2,7 @@
 
 #include "sim/simd.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <vector>
@@ -92,7 +93,7 @@ void resimulate_aig_all_last_word(const net::aig_network& aig,
   const uint32_t num_pis = aig.num_pis();
   const std::size_t size = aig.size();
   if (last >= signatures.base_words()) {
-    // Fully word-major store (the sweeper's case): one contiguous block
+    // Word-major open word (an appended tail block): one contiguous block
     // holds every node's bits of the recomputed word.
     uint64_t* const wb = signatures.tail_word(last).data();
     wb[0] = 0u;
@@ -196,6 +197,47 @@ void resimulate_aig_all_last_word(const net::aig_network& aig,
   simd::resim_words(wb, plan.lit0.data(), plan.lit1.data(), plan.first,
                     plan.size, plan.safe4.data());
   signatures.mask_tail(patterns.num_patterns());
+}
+
+open_word::open_word(const pattern_set& patterns, const resim_plan& plan)
+    : plan_{&plan}, num_patterns_{patterns.num_patterns()},
+      column_(plan.size, 0u)
+{
+  if (patterns.num_inputs() + 1u != plan.first) {
+    throw std::invalid_argument{"open_word: input count mismatch"};
+  }
+  if (patterns.num_words() != 0u) {
+    const std::size_t last = patterns.num_words() - 1u;
+    for (uint32_t i = 0; i < patterns.num_inputs(); ++i) {
+      column_[1u + i] = patterns.input_word(i, last);
+    }
+  }
+  resimulate();
+}
+
+void open_word::add_pattern(const std::vector<bool>& assignment)
+{
+  if (assignment.size() + 1u != plan_->first) {
+    throw std::invalid_argument{"open_word: arity mismatch"};
+  }
+  uint64_t* const pi_rows = column_.data() + 1u;
+  if (full()) {
+    std::fill_n(pi_rows, assignment.size(), uint64_t{0});
+  }
+  const uint64_t bit = uint64_t{1} << (num_patterns_ % 64u);
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    if (assignment[i]) {
+      pi_rows[i] |= bit;
+    }
+  }
+  ++num_patterns_;
+  resimulate();
+}
+
+void open_word::resimulate()
+{
+  simd::resim_words(column_.data(), plan_->lit0.data(), plan_->lit1.data(),
+                    plan_->first, plan_->size, plan_->safe4.data());
 }
 
 bool evaluate_aig_node(const net::aig_network& aig, net::node n,

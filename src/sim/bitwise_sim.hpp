@@ -11,7 +11,9 @@
 ///   bit up — no word parallelism.  This is the `TL` baseline the STP
 ///   simulator beats by ~7×.
 /// * `resimulate_aig_all_last_word` is the incremental path used when a
-///   counter-example is appended: only the final word is recomputed.
+///   witness pattern is appended: only the final word is recomputed.
+/// * `open_word` is the sweepers' counter-example state: one word per
+///   node id, recomputed in place for every counter-example.
 #pragma once
 
 #include "network/aig.hpp"
@@ -37,7 +39,7 @@ signature_store simulate_klut_bitwise(const net::klut_network& klut,
 /// with, so an id-order pass over the whole node array yields each
 /// node's original function under the patterns, even for class members
 /// that merged away.  The word is computed from the pattern words
-/// alone, so earlier signature words need not be live.
+/// alone; earlier signature words are never read.
 void resimulate_aig_all_last_word(const net::aig_network& aig,
                                   const pattern_set& patterns,
                                   signature_store& signatures);
@@ -66,12 +68,48 @@ resim_plan make_resim_plan(const net::aig_network& aig);
 
 /// Plan-driven variant of `resimulate_aig_all_last_word`: identical
 /// results, vectorized over dependency-safe 4-blocks when the store is
-/// word-major at the open word (the sweeper's case; otherwise falls
-/// back to the plain variant).
+/// word-major at the open word (the guided prologue's witness words;
+/// otherwise falls back to the plain variant).
 void resimulate_aig_all_last_word(const net::aig_network& aig,
                                   const pattern_set& patterns,
                                   signature_store& signatures,
                                   const resim_plan& plan);
+
+/// The sweepers' counter-example state (Alg. 2 lines 26-28): the open
+/// pattern word as one *column* — node id n's word at index n.  The PI
+/// bits live in the PI rows (ids 1..num_pis), so a counter-example sets
+/// one bit per input there and `simd::resim_words` recomputes every
+/// gate row through the resim_plan (dead gates included, same contract).
+/// Classes refine straight from the column and never read a full word
+/// again, so once 64 patterns fill it the next counter-example starts a
+/// fresh word: memory is one column, whatever the counter-example count.
+class open_word
+{
+public:
+  /// Continues \p patterns over \p plan's network: the open word
+  /// starts as their last word, evaluated for every node id.  \p plan
+  /// must outlive the state (copies share it).
+  open_word(const pattern_set& patterns, const resim_plan& plan);
+
+  /// Appends one counter-example (one value per PI) and recomputes the
+  /// column; a full word is zeroed first.
+  void add_pattern(const std::vector<bool>& assignment);
+
+  /// Initial patterns plus every counter-example.
+  uint64_t num_patterns() const noexcept { return num_patterns_; }
+  /// The open word holds 64 patterns: the next one starts a fresh word.
+  bool full() const noexcept { return num_patterns_ % 64u == 0u; }
+  /// Valid bits of the open word; bits beyond it are unspecified.
+  uint64_t mask() const noexcept { return tail_mask(num_patterns_); }
+  std::span<const uint64_t> column() const noexcept { return column_; }
+
+private:
+  void resimulate();
+
+  const resim_plan* plan_;
+  uint64_t num_patterns_;
+  std::vector<uint64_t> column_;
+};
 
 /// Evaluates a single node under a single full input assignment (slow
 /// reference path used by tests and the CEC debug checker).

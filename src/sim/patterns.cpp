@@ -16,8 +16,7 @@ void pattern_set::grow_stride(std::size_t words)
   if (words <= stride_) {
     return;
   }
-  assert(tail_.empty() && !base_freed_ &&
-         "grow_stride(): pattern set has tail words");
+  assert(tail_.empty() && "grow_stride(): pattern set has tail words");
   const std::size_t new_stride =
       std::max({words, stride_ * 2u, std::size_t{2}});
   std::vector<uint64_t> grown(
@@ -29,27 +28,6 @@ void pattern_set::grow_stride(std::size_t words)
   }
   bits_ = std::move(grown);
   stride_ = new_stride;
-}
-
-uint64_t* pattern_set::writable_word_block(std::size_t word)
-{
-  assert(word >= first_live_ && "writable_word_block(): word was recycled");
-  if (word < stride_) {
-    return nullptr; // base words are written input-major via row_data
-  }
-  while (stride_ + tail_.size() <= word) {
-    if (!ring_.empty()) {
-      // Reuse an absorbed counter-example word's block (the ring).
-      std::vector<uint64_t>& block = ring_.back();
-      std::fill(block.begin(), block.end(), 0u);
-      tail_.push_back(std::move(block));
-      ring_.pop_back();
-    } else {
-      tail_.emplace_back(num_inputs_, 0u);
-      ++tail_blocks_allocated_;
-    }
-  }
-  return tail_[word - stride_].data();
 }
 
 pattern_set pattern_set::random(uint32_t num_inputs, uint64_t num_patterns,
@@ -111,13 +89,13 @@ std::span<const uint64_t> pattern_set::input_bits(uint32_t input) const
   if (input >= num_inputs_) {
     throw std::out_of_range{"input_bits: no such input"};
   }
-  // The contiguous base-arena view cannot represent tail blocks or a
-  // trimmed base: returning it anyway would silently hand back stale
-  // (or freed) words for every counter-example pattern.  Callers on
-  // sets past their initial-simulation phase must use input_word /
-  // copy_input_bits; reaching here with tail words is a logic bug and
-  // fails loudly in every build type.
-  if (num_words() > stride_ || base_freed_) {
+  // The contiguous base-arena view cannot represent tail blocks:
+  // returning it anyway would silently hand back stale words for every
+  // counter-example pattern.  Callers on sets past their
+  // initial-simulation phase must use input_word / copy_input_bits;
+  // reaching here with tail words is a logic bug and fails loudly in
+  // every build type.
+  if (num_words() > stride_) {
     throw std::logic_error{
         "input_bits: pattern set has counter-example tail words — "
         "use input_word/copy_input_bits"};
@@ -132,11 +110,7 @@ void pattern_set::copy_input_bits(uint32_t input,
     throw std::out_of_range{"copy_input_bits: no such input"};
   }
   const std::size_t base = std::min(out.size(), stride_);
-  if (base_freed_) {
-    std::fill_n(out.data(), base, uint64_t{0});
-  } else {
-    std::copy_n(row_data(input), base, out.data());
-  }
+  std::copy_n(row_data(input), base, out.data());
   for (std::size_t w = base; w < out.size(); ++w) {
     out[w] = input_word(input, w);
   }
@@ -152,7 +126,7 @@ bool pattern_set::bit(uint32_t input, uint64_t pattern) const
 
 void pattern_set::reserve_patterns(uint64_t total_patterns)
 {
-  if (!tail_.empty() || base_freed_) {
+  if (!tail_.empty()) {
     return; // tail blocks are per-word; nothing to pre-grow
   }
   grow_stride((total_patterns + 63u) / 64u);
@@ -170,9 +144,10 @@ void pattern_set::add_pattern(const std::vector<bool>& assignment)
   // past it starts the word-major tail (never a base repack).
   uint64_t* block = nullptr;
   if (word >= stride_) {
-    block = writable_word_block(word);
-  } else {
-    assert(!base_freed_ && "add_pattern: base arena was trimmed");
+    while (stride_ + tail_.size() <= word) {
+      tail_.emplace_back(num_inputs_, 0u);
+    }
+    block = tail_[word - stride_].data();
   }
   ++num_patterns_;
   for (uint32_t i = 0; i < num_inputs_; ++i) {
@@ -191,28 +166,6 @@ void pattern_set::add_patterns(std::span<const std::vector<bool>> assignments)
   reserve_patterns(num_patterns_ + assignments.size());
   for (const auto& a : assignments) {
     add_pattern(a);
-  }
-}
-
-void pattern_set::trim_words(std::size_t first_live)
-{
-  first_live = std::min(first_live, num_words());
-  if (first_live <= first_live_) {
-    return;
-  }
-  first_live_ = first_live;
-  if (!base_freed_ && stride_ > 0u && first_live >= stride_ &&
-      num_words() > 0u) {
-    std::vector<uint64_t>{}.swap(bits_);
-    base_freed_ = true;
-  }
-  while (tail_freed_ < tail_.size() && stride_ + tail_freed_ < first_live) {
-    // Absorbed counter-example word: its block goes back to the ring.
-    ring_.push_back(std::move(tail_[tail_freed_]));
-    tail_[tail_freed_].clear();
-    tail_[tail_freed_].shrink_to_fit();
-    ++tail_freed_;
-    ++words_recycled_;
   }
 }
 

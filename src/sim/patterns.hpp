@@ -8,26 +8,15 @@
 /// pattern set (see signature_store.hpp); exhaustive sets make
 /// signatures truth tables.
 ///
-/// **Layout and the counter-example ring.**  The words dimensioned at
-/// construction time (the *base* — the initial random or exhaustive
-/// patterns) live in one flat input-major arena at a fixed stride.
-/// Words appended later by `add_pattern` (SAT counter-examples, §I) live
-/// in *word-major tail blocks*: one flat `num_inputs`-sized block per
+/// **Layout.**  The words dimensioned at construction time (the *base* —
+/// the initial random or exhaustive patterns) live in one flat
+/// input-major arena at a fixed stride.  Words appended later by
+/// `add_pattern` (the guided prologue's SAT witnesses, §IV-A) live in
+/// *word-major tail blocks*: one flat `num_inputs`-sized block per
 /// appended word, exactly mirroring `sim::signature_store`.  Appending
-/// therefore never repacks the input-major arena, and one
-/// counter-example's bits — one bit per input of the single open word —
-/// land in one contiguous block.
-///
-/// Sweeping absorbs each counter-example word into its equivalence
-/// classes and never reads it again; `trim_words(first_live)` *recycles*
-/// absorbed words, mirroring `signature_store::trim_words` but returning
-/// each tail block to a free ring instead of the allocator — the next
-/// appended word reuses it.  With the sweeper trimming at its word
-/// budget, the pattern set's live footprint is bounded for the whole
-/// sweep no matter how many counter-examples arrive (the last unbounded
-/// per-sweep structure on the path to ≥ 1M gates).  Indices stay
-/// absolute: `num_words()` never shrinks and reading a recycled word
-/// yields 0.
+/// therefore never repacks the input-major arena, and one witness's
+/// bits — one bit per input of the single open word — land in one
+/// contiguous block.
 #pragma once
 
 #include <cstdint>
@@ -63,21 +52,16 @@ public:
   std::size_t base_words() const noexcept { return stride_; }
 
   /// Word \p w of \p input's bit string; dispatches across the base
-  /// arena and the tail blocks, and yields 0 for recycled words.
+  /// arena and the tail blocks.
   uint64_t input_word(uint32_t input, std::size_t w) const noexcept
   {
-    if (w < stride_) {
-      return base_freed_ ? 0u
-                         : bits_[static_cast<std::size_t>(input) * stride_ + w];
-    }
-    const std::vector<uint64_t>& t = tail_[w - stride_];
-    return t.empty() ? 0u : t[input];
+    return w < stride_ ? row_data(input)[w] : tail_[w - stride_][input];
   }
 
   /// Contiguous bit string of \p input (num_words() words; trailing bits
   /// zero).  Valid only while every word lives in the base arena — i.e.
-  /// before any counter-example spilled into a tail block and before any
-  /// trim — which holds for every initial-simulation use.
+  /// before any counter-example spilled into a tail block — which holds
+  /// for every initial-simulation use.
   std::span<const uint64_t> input_bits(uint32_t input) const;
 
   /// Copies \p input's first `out.size()` words into \p out (≤
@@ -99,38 +83,6 @@ public:
   /// re-simulation).
   void add_patterns(std::span<const std::vector<bool>> assignments);
 
-  /// \name Memory budget: the counter-example ring
-  /// \{
-  /// Recycles the storage of every word with index < \p first_live
-  /// (clamped to `num_words()`): tail blocks return to the free ring for
-  /// the next appended word, the input-major base arena is freed as a
-  /// whole once every base word is absorbed.  Indices are absolute and
-  /// monotone, exactly as in `signature_store::trim_words`.
-  void trim_words(std::size_t first_live);
-
-  /// First word whose storage is guaranteed live (0 when never trimmed).
-  std::size_t first_live_word() const noexcept { return first_live_; }
-  /// Words whose backing storage was recycled or freed.
-  std::size_t words_trimmed() const noexcept
-  {
-    return (base_freed_ ? stride_ : 0u) + tail_freed_;
-  }
-  /// Words still backed by storage.
-  std::size_t live_words() const noexcept
-  {
-    return num_words() - words_trimmed();
-  }
-  /// Absorbed counter-example words whose block went back to the ring
-  /// (each saves one allocation on a later append).
-  std::size_t words_recycled() const noexcept { return words_recycled_; }
-  /// Tail blocks ever allocated fresh; with the ring this stays near the
-  /// live-word budget instead of growing with the CE count.
-  std::size_t tail_blocks_allocated() const noexcept
-  {
-    return tail_blocks_allocated_;
-  }
-  /// \}
-
 private:
   uint64_t* row_data(uint32_t input) noexcept
   {
@@ -143,21 +95,12 @@ private:
   /// Grows the base stride to at least \p words; only legal while every
   /// word still lives in the base arena.
   void grow_stride(std::size_t words);
-  /// Makes word \p word writable, appending tail blocks (recycled from
-  /// the ring when possible) as needed.
-  uint64_t* writable_word_block(std::size_t word);
 
   uint32_t num_inputs_ = 0;
   uint64_t num_patterns_ = 0;
   std::size_t stride_ = 0;            // base words allocated per input
   std::vector<uint64_t> bits_;        // flat input-major base arena
   std::vector<std::vector<uint64_t>> tail_; // word-major appended words
-  std::vector<std::vector<uint64_t>> ring_; // recycled blocks, ready to reuse
-  std::size_t first_live_ = 0;        // trim high-water mark
-  std::size_t tail_freed_ = 0;        // leading tail blocks recycled
-  bool base_freed_ = false;
-  std::size_t words_recycled_ = 0;
-  std::size_t tail_blocks_allocated_ = 0;
 };
 
 } // namespace stps::sim

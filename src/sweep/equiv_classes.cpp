@@ -153,12 +153,10 @@ void equiv_classes::build(const net::aig_network& aig,
   // table; a hash hit is verified word-by-word against the group's
   // representative, and a mismatch keeps probing, so equal-hash but
   // different-signature nodes end up in distinct groups.  At build time
-  // the store is freshly simulated — node-major, no tail words, nothing
-  // trimmed — so the compare runs the vectorized whole-row kernel over
-  // contiguous rows; the word-at-a-time path stays as the fallback for
-  // stores with tails or trims.
-  const bool flat =
-      sig.num_words() == sig.base_words() && sig.words_trimmed() == 0u;
+  // the store is freshly simulated — node-major, no tail words — so the
+  // compare runs the vectorized whole-row kernel over contiguous rows;
+  // the word-at-a-time path stays as the fallback for stores with tails.
+  const bool flat = sig.num_words() == sig.base_words();
   const auto equal_normalized = [&](net::node a, net::node b) {
     const uint64_t flip =
         (phase_[a] != phase_[b]) ? ~uint64_t{0} : uint64_t{0};
@@ -240,21 +238,20 @@ uint32_t equiv_classes::new_class(std::vector<net::node> nodes)
   return id;
 }
 
-std::size_t equiv_classes::refine_with_word(const sim::signature_store& sig,
-                                            std::size_t word,
+std::size_t equiv_classes::refine_with_word(std::span<const uint64_t> column,
                                             uint64_t word_mask)
 {
   std::size_t created = 0;
   const std::size_t existing = classes_.size();
   for (uint32_t c = 0; c < existing; ++c) {
-    created += refine_class_with_word(c, sig, word, word_mask);
+    created += refine_class_with_word(c, column, word_mask);
   }
   return created;
 }
 
 std::size_t equiv_classes::refine_class_with_word(
-    uint32_t c, const sim::signature_store& sig, std::size_t word,
-    uint64_t word_mask, std::vector<uint32_t>* created_ids)
+    uint32_t c, std::span<const uint64_t> column, uint64_t word_mask,
+    std::vector<uint32_t>* created_ids)
 {
   const std::vector<net::node>& members = classes_.at(c);
   const std::size_t count = members.size();
@@ -262,29 +259,19 @@ std::size_t equiv_classes::refine_class_with_word(
     return 0;
   }
   // Partition members by their normalized word value — allocation-free
-  // through the dense scratch core.  When the word has backing storage
-  // the keys come from the vectorized strided gather; absent words
-  // (beyond the store, trimmed) read as zero and take the scalar loop.
-  const bool have_word = word < sig.num_words();
+  // through the dense scratch core.  The keys come from the vectorized
+  // gather at stride 1, whose 32-bit indices cover every node id below
+  // 2^31; larger columns take the scalar loop.
   keys_.resize(count);
   group_of_.resize(count);
-  std::size_t stride = 0;
-  const uint64_t* block =
-      have_word ? sig.word_block(word, &stride) : nullptr;
-  if (block != nullptr &&
-      stride * (sig.size() > 0u ? sig.size() - 1u : 0u) <
-          (std::size_t{1} << 31u)) {
+  if (column.size() <= (std::size_t{1} << 31u)) {
     sim::simd::gather_normalized_keys(keys_.data(), members.data(), count,
-                                      block, static_cast<uint32_t>(stride),
-                                      phase_.data(), word_mask);
+                                      column.data(), 1u, phase_.data(),
+                                      word_mask);
   } else {
     for (std::size_t i = 0; i < count; ++i) {
       const net::node n = members[i];
-      const uint64_t w =
-          block != nullptr
-              ? block[static_cast<std::size_t>(n) * stride]
-              : (have_word ? sig.word(n, word) : 0u);
-      keys_[i] = (w ^ (phase_[n] ? ~uint64_t{0} : 0u)) & word_mask;
+      keys_[i] = (column[n] ^ (phase_[n] ? ~uint64_t{0} : 0u)) & word_mask;
     }
   }
   const uint32_t groups = partition_by_scratch_keys(count);

@@ -25,6 +25,7 @@
 #include "sim/signature_store.hpp"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace stps::sweep {
@@ -41,22 +42,21 @@ public:
   void build(const net::aig_network& aig, const sim::signature_store& sig,
              uint64_t last_word_mask = ~uint64_t{0});
 
-  /// Splits every class using signature word \p word only (the word the
-  /// newest counter-examples landed in), masked by \p word_mask.
-  /// Returns the number of new classes created.
-  std::size_t refine_with_word(const sim::signature_store& sig,
-                               std::size_t word,
+  /// Splits every class by one signature word per node id — \p column
+  /// holds node n's word at index n (sim::open_word, the word the newest
+  /// counter-examples landed in) — masked by \p word_mask.  Returns the
+  /// number of new classes created.
+  std::size_t refine_with_word(std::span<const uint64_t> column,
                                uint64_t word_mask = ~uint64_t{0});
 
-  /// Splits a single class \p c by signature word \p word (masked by
-  /// \p word_mask), leaving every other class untouched — the lazy path
-  /// of batched counter-example refinement.  Ids of classes split off
-  /// are appended to \p created_ids when non-null (including ids whose
-  /// group immediately dissolved to a singleton).  Returns the number of
-  /// new classes created.
+  /// Splits a single class \p c by \p column (masked by \p word_mask),
+  /// leaving every other class untouched — the lazy path of batched
+  /// counter-example refinement.  Ids of classes split off are appended
+  /// to \p created_ids when non-null (including ids whose group
+  /// immediately dissolved to a singleton).  Returns the number of new
+  /// classes created.
   std::size_t refine_class_with_word(uint32_t c,
-                                     const sim::signature_store& sig,
-                                     std::size_t word,
+                                     std::span<const uint64_t> column,
                                      uint64_t word_mask = ~uint64_t{0},
                                      std::vector<uint32_t>* created_ids
                                      = nullptr);

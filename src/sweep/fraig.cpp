@@ -30,7 +30,7 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
   config.base_patterns = params.num_patterns;
   config.seed = params.seed;
   config.governor = params.governor;
-  sim::pattern_set patterns = initial_patterns(
+  const sim::pattern_set patterns = initial_patterns(
       aig, cnf, config, params.use_guided_patterns, stats);
   if (governor_stopped(params)) {
     // Aborted during pattern generation: the constants applied above
@@ -44,13 +44,15 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
   }
 
   auto t_sim = sweep_clock::now();
-  sim::signature_store sig = sim::simulate_aig(aig, patterns);
   equiv_classes classes;
-  classes.build(aig, sig, sim::tail_mask(patterns.num_patterns()));
+  classes.build(aig, sim::simulate_aig(aig, patterns),
+                sim::tail_mask(patterns.num_patterns()));
   // Substitutions only rewire fanins to function-identical signals, so
-  // one snapshot of the fanins evaluates every live word exactly as the
-  // current network would (resim_plan contract).
+  // one snapshot of the fanins evaluates every open word exactly as the
+  // current network would (resim_plan contract).  The classes absorbed
+  // every initial word; counter-examples continue the last one.
   const sim::resim_plan plan = sim::make_resim_plan(aig);
+  sim::open_word open{patterns, plan};
   stats.sim_seconds += seconds_since(t_sim);
 
   // One candidate against its class representative.  Same escalating
@@ -115,10 +117,8 @@ sweep_stats fraig_sweep(net::aig_network& aig, const fraig_params& params)
       ++stats.sat_calls_satisfiable;
       ++stats.ce_patterns;
       const auto t_ce = sweep_clock::now();
-      patterns.add_pattern(cnf.model_inputs());
-      sim::resimulate_aig_all_last_word(aig, patterns, sig, plan);
-      classes.refine_with_word(sig, patterns.num_words() - 1u,
-                               sim::tail_mask(patterns.num_patterns()));
+      open.add_pattern(cnf.model_inputs());
+      classes.refine_with_word(open.column(), open.mask());
       stats.sim_seconds += seconds_since(t_ce);
     }
   };

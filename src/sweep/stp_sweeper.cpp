@@ -156,22 +156,6 @@ private:
   std::vector<std::size_t> group_rep_;
 };
 
-/// True when absorbed signature/pattern words may be freed: a word
-/// budget is set and no trim failure is injected.
-bool may_trim(const stp_sweep_params& params)
-{
-  return params.store_word_budget != 0u && !params.fault_fail_store_trim;
-}
-
-/// First word the equivalence classes have not absorbed yet: the open
-/// (partially filled) word, or one past the last word when it is full —
-/// the caller refined with it, so everything can go.
-std::size_t first_unabsorbed_word(const sim::pattern_set& patterns)
-{
-  return patterns.num_patterns() % 64u == 0u ? patterns.num_words()
-                                             : patterns.num_words() - 1u;
-}
-
 /// A merge a shard proved but did not apply: \p n is equivalent to
 /// \p target over the frozen input AIG.  The commit pass applies the
 /// records in ascending node-id order on the calling thread.
@@ -183,37 +167,30 @@ struct merge_record
 
 /// One shard's SAT-phase pass over a candidate order: the class
 /// machinery, counter-example resimulation, window resolution, and the
-/// candidate/retry loops of Alg. 2, operating on *owned*
-/// pattern/signature/class state.
+/// candidate/retry loops of Alg. 2, operating on *owned* counter-example
+/// and class state.
 ///
 /// The AIG is frozen (shared read-only by all shards) and proven merges
 /// append a `merge_record` instead of rewiring it.  The prologue ran on
 /// managers that are gone by now; at every shard count, one included,
-/// each core gets private copies of the merged pattern set and classes,
-/// a signature store holding only the live (open) word, and a fresh
-/// manager of its own.  A shard's trajectory is a pure function of its
-/// inputs — independent of how shards are scheduled onto threads.
+/// each core gets private copies of the open word (sim::open_word: one
+/// column) and the classes, and a fresh manager of its own.  A shard's
+/// trajectory is a pure function of its inputs — independent of how
+/// shards are scheduled onto threads.
 class sweep_core
 {
 public:
   sweep_core(const net::aig_network& aig, const stp_sweep_params& params,
              sat::cnf_manager& cnf, sweep_stats& stats,
-             uint32_t gates_global, const sim::resim_plan& plan,
-             sim::pattern_set patterns, sim::signature_store sig,
+             uint32_t gates_global, sim::open_word open,
              equiv_classes classes, std::vector<merge_record>& merges)
-      : aig_{aig}, params_{params}, cnf_{cnf}, stats_{stats}, plan_{plan},
-        patterns_{std::move(patterns)}, sig_{std::move(sig)},
-        classes_{std::move(classes)}, merges_{merges},
-        tfi_{aig, params.tfi_limit}
+      : aig_{aig}, params_{params}, cnf_{cnf}, stats_{stats},
+        open_{std::move(open)}, classes_{std::move(classes)},
+        merges_{merges}, tfi_{aig, params.tfi_limit}
   {
-    // Counter-example words are recomputed for every node id by
-    // whole-AIG resimulation (§IV-A), so the store needs no initial
-    // simulation: it is word-major from the first word on.
-    rsig_.reset(aig_.size(), 0u);
-    applied_global_ = patterns_.num_patterns();
+    applied_global_ = open_.num_patterns();
     window_support_ = params_.effective_window_support(gates_global);
     resolver_.attach(aig_);
-    trim_absorbed_words(); // base words are absorbed by the initial class build
   }
 
   /// The candidate loop (reverse topological order, lines 4-32) plus
@@ -232,7 +209,7 @@ public:
 
   bool aborted() const noexcept { return aborted_; }
 
-  /// Writes the pass's outcome/CNF/store counters into the stats this
+  /// Writes the pass's outcome/CNF/column counters into the stats this
   /// core was constructed over (assignment semantics — the driver sums
   /// the per-shard stats afterwards).
   void finalize_stats()
@@ -241,12 +218,7 @@ public:
       stats_.outcome = params_.governor->outcome();
     }
     fill_cnf_stats(stats_, cnf_);
-    stats_.has_store_counters = true;
-    stats_.store_words_live = sig_.live_words() + rsig_.live_words();
-    stats_.store_words_trimmed = sig_.words_trimmed() + rsig_.words_trimmed();
-    stats_.store_peak_bytes = sig_.peak_bytes() + rsig_.peak_bytes();
-    stats_.pattern_words_live = patterns_.live_words();
-    stats_.pattern_words_recycled = patterns_.words_recycled();
+    stats_.store_peak_bytes = open_.column().size_bytes();
   }
 
 private:
@@ -267,32 +239,9 @@ private:
     merges_.push_back({n, net::signal{driver, complement}});
   }
 
-  // ---- Signature-store and pattern word budget. ----------------------
-  // Once the classes have been refined with a word, the partition has
-  // absorbed everything it says and no code path reads it again — only
-  // the *open* (partially filled) word is ever re-read or written.
-  // Trimming frees absorbed words' storage (and recycles the pattern
-  // set's CE word blocks through its ring); with the initial build just
-  // done, that is every base word the moment enough of them accumulate.
-  void trim_absorbed_words()
-  {
-    if (!may_trim(params_)) {
-      return; // budget off, or injected trim failure: keep every word
-    }
-    const std::size_t first_live = first_unabsorbed_word(patterns_);
-    if (sig_.live_words() <= params_.store_word_budget &&
-        rsig_.live_words() <= params_.store_word_budget &&
-        patterns_.live_words() <= params_.store_word_budget) {
-      return;
-    }
-    sig_.trim_words(first_live);
-    rsig_.trim_words(first_live);
-    patterns_.trim_words(first_live);
-  }
-
   // ---- Batched counter-example bookkeeping. --------------------------
-  // CEs land in the open tail word immediately (absorb_ce recomputes
-  // every bit), but *refinement* is deferred per class: a class is
+  // CEs land in the open word immediately (open_word recomputes every
+  // node's bits), but *refinement* is deferred per class: a class is
   // refined only when (b) it is the current candidate's class and needs
   // the fresh bits to make progress, (c) the loop advances to it, or
   // (a) the word fills with 64 CEs and everything is brought up to date
@@ -310,46 +259,15 @@ private:
     const uint64_t applied =
         std::max(applied_global_,
                  c < class_applied_.size() ? class_applied_[c] : 0u);
-    return applied < patterns_.num_patterns();
-  }
-
-  // Recomputes the open word for every node id after a counter-example
-  // was appended to the pattern set.  Words older than the open one are
-  // born trimmed: the recompute is total and never reads them.
-  void absorb_ce()
-  {
-    const std::size_t want = patterns_.num_words();
-    while (rsig_.num_words() + 1u < want) {
-      rsig_.append_trimmed_word();
-    }
-    if (rsig_.num_words() < want) {
-      rsig_.append_word();
-    }
-    sim::resimulate_aig_all_last_word(aig_, patterns_, rsig_, plan_);
-  }
-
-  // Copies the open tail word from the resimulated store into the
-  // candidate signature store for the given members (the recompute
-  // covers the constant and the PIs too).
-  void sync_member_rows(const std::vector<net::node>& members)
-  {
-    while (sig_.num_words() < patterns_.num_words()) {
-      sig_.append_word();
-    }
-    const std::size_t last = patterns_.num_words() - 1u;
-    for (const net::node m : members) {
-      sig_.word(m, last) = rsig_.word(m, last);
-    }
+    return applied < open_.num_patterns();
   }
 
   void refine_one_class(uint32_t c)
   {
-    sync_member_rows(classes_.members(c));
     created_ids_scratch_.clear();
-    classes_.refine_class_with_word(
-        c, sig_, patterns_.num_words() - 1u,
-        sim::tail_mask(patterns_.num_patterns()), &created_ids_scratch_);
-    const uint64_t count = patterns_.num_patterns();
+    classes_.refine_class_with_word(c, open_.column(), open_.mask(),
+                                    &created_ids_scratch_);
+    const uint64_t count = open_.num_patterns();
     mark_applied(c, count);
     for (const uint32_t f : created_ids_scratch_) {
       mark_applied(f, count);
@@ -359,16 +277,11 @@ private:
   // Condition (a): bring every class up to date with the filled word.
   void refine_all_classes()
   {
-    if (applied_global_ == patterns_.num_patterns()) {
+    if (applied_global_ == open_.num_patterns()) {
       return;
     }
-    const std::size_t last = patterns_.num_words() - 1u;
-    for (uint32_t c = 0; c < classes_.num_class_ids(); ++c) {
-      sync_member_rows(classes_.members(c));
-    }
-    classes_.refine_with_word(sig_, last,
-                              sim::tail_mask(patterns_.num_patterns()));
-    applied_global_ = patterns_.num_patterns();
+    classes_.refine_with_word(open_.column(), open_.mask());
+    applied_global_ = open_.num_patterns();
   }
 
   // ---- Window resolution: class id → (size when checked, exact). -----
@@ -401,7 +314,7 @@ private:
     classes_.split_by_keys(c, resolve_keys_scratch_);
     // Every surviving sub-class is exact now — and, having just been
     // derived from the freshly refined parent, already up to date.
-    const uint64_t applied_count = patterns_.num_patterns();
+    const uint64_t applied_count = open_.num_patterns();
     for (const net::node m : resolve_members_scratch_) {
       const uint32_t cid = classes_.class_of(m);
       if (cid != equiv_classes::no_class) {
@@ -493,18 +406,15 @@ private:
       }
 
       // Counter-example (lines 26-28, batched): the bit lands in the
-      // open tail word now; refinement is deferred to conditions
-      // (a)/(b)/(c) above.
+      // open word now; refinement is deferred to conditions (a)/(b)/(c)
+      // above.
       ++stats_.sat_calls_satisfiable;
       ++stats_.ce_patterns;
       const auto t_sim = sweep_clock::now();
-      const std::vector<bool> ce = cnf_.model_inputs();
-      if (patterns_.num_patterns() % 64u == 0u) {
-        refine_all_classes();  // condition (a): word full, flush
-        trim_absorbed_words(); // every word is absorbed now
+      if (open_.full()) {
+        refine_all_classes(); // condition (a): word full, flush
       }
-      patterns_.add_pattern(ce);
-      absorb_ce();
+      open_.add_pattern(cnf_.model_inputs());
       stats_.sim_seconds += seconds_since(t_sim);
     }
   }
@@ -513,10 +423,7 @@ private:
   const stp_sweep_params& params_;
   sat::cnf_manager& cnf_;
   sweep_stats& stats_;
-  const sim::resim_plan& plan_; ///< shared by every shard, read-only
-  sim::pattern_set patterns_;
-  sim::signature_store sig_;  ///< candidate signatures (refinement input)
-  sim::signature_store rsig_; ///< resimulated open word, word-major
+  sim::open_word open_; ///< counter-example column (shares the plan)
   equiv_classes classes_;
   std::vector<merge_record>& merges_;
 
@@ -585,7 +492,7 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     // Aborted during pattern generation: the constants applied above
     // are each a completed UNSAT proof, so the network is already a
     // sound partial result — finalize without building the class
-    // machinery (store counters stay unreported, no worker ran).
+    // machinery (no column was allocated, no worker ran).
     aig.cleanup_dangling();
     stats.gates_after = aig.num_gates();
     stats.outcome = params.governor->outcome();
@@ -596,13 +503,15 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
 
   // ---- Initial STP simulation and equivalence classes (line 3). --------
   // The resimulation plan every shard absorbs counter-examples with is
-  // a snapshot of the AIG after the constant merges above.
+  // a snapshot of the AIG after the constant merges above; the open
+  // word continues the initial patterns' last word.
   auto t_sim = sweep_clock::now();
   const core::stp_simulator stp_sim;
   sim::signature_store sig = stp_sim.simulate_aig(aig, patterns);
   equiv_classes classes;
   classes.build(aig, sig, sim::tail_mask(patterns.num_patterns()));
   const sim::resim_plan plan = sim::make_resim_plan(aig);
+  const sim::open_word open{patterns, plan};
   stats.sim_seconds += seconds_since(t_sim);
 
   // ---- Signature-guided SAT querying. ----------------------------------
@@ -612,9 +521,8 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // variable encodes: the first query on a cone starts in a simulation-
   // consistent assignment (phase saving evolves freely afterwards), so
   // its counter-example — a small deviation from exactly that behavior
-  // — falls out with far fewer conflicts.  The capture is taken once,
-  // before any store trimming.  The bits are shared read-only: every
-  // shard's manager seeds from the same capture.
+  // — falls out with far fewer conflicts.  The bits are shared
+  // read-only: every shard's manager seeds from the same capture.
   std::shared_ptr<const std::vector<uint8_t>> phase_bits;
   if (params.use_signature_phase && sig.num_words() > 0u) {
     std::vector<uint8_t> bits(aig.size(), 0u);
@@ -636,14 +544,9 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     }
   };
 
-  // Every word before the open one is absorbed by the class build above,
-  // so each shard starts from a copy born trimmed up to the open word,
-  // and the node-major base arena is released here instead of living
-  // on, untrimmable, for the whole sweep.  With trimming off (no word
-  // budget, or the injected trim failure) the shards keep every word,
-  // as budgeted.
-  const sim::signature_store shard_sig = sig.copy_live_words(
-      may_trim(params) ? first_unabsorbed_word(patterns) : 0u);
+  // The classes have absorbed every initial word: the node-major store
+  // goes before the shards start, and each shard refines from a copy of
+  // the open word alone.
   sig = sim::signature_store{};
 
   const std::vector<net::node> order = net::reverse_topo_order(aig);
@@ -654,9 +557,9 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
   // Classes never interact during querying — drivers come from the
   // candidate's own class — so each shard sweeps its classes against
   // the frozen AIG with fully private state: a fresh cnf_manager, its
-  // own copies of the pattern set, the live signature words and the
-  // class partition (non-owned classes dissolved).  Only the
-  // resimulation plan is shared, read-only.  Proven merges are
+  // own copies of the open word and the class partition (non-owned
+  // classes dissolved).  Only the resimulation plan is shared,
+  // read-only.  Proven merges are
   // *recorded*, then committed below in ascending node-id order on this
   // thread.  A shard's trajectory is a pure function of its inputs, so
   // the sweep is byte-identical for a fixed shard count no matter how
@@ -702,9 +605,7 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
                     shard_cnf,
                     out.stats,
                     stats.gates_before,
-                    plan,
-                    patterns,
-                    shard_sig,
+                    open,
                     std::move(shard_classes),
                     out.records};
     core.run(shard_order[s]);
@@ -730,7 +631,6 @@ sweep_stats stp_sweep(net::aig_network& aig, const stp_sweep_params& params)
     stats.worker_sat_seconds[s % workers_used] += ss.sat_seconds;
     any_aborted = any_aborted || shard_results[s].aborted;
   }
-  stats.has_store_counters = true;
   if (any_aborted && params.governor != nullptr) {
     stats.outcome = params.governor->outcome();
   }

@@ -23,12 +23,11 @@
 ///    counter-examples.
 /// 5. **Counter-example simulation by whole-AIG resimulation**: the
 ///    paper re-simulates a CE on a k-LUT view collapsed with tree cuts
-///    (§III-B).  Here each CE recomputes the open signature word for
-///    every node in one vectorized pass
-///    (sim::resimulate_aig_all_last_word), as ABC's fraig does: the
-///    collapsed view gave identical results without saving measurable
-///    simulation time (bench/README.md).  The STP k-LUT simulator does
-///    the initial simulation.
+///    (§III-B).  Here each CE recomputes the open word for every node in
+///    one vectorized pass over a single column (sim::open_word), as
+///    ABC's fraig does: the collapsed view gave identical results
+///    without saving measurable simulation time (bench/README.md).  The
+///    STP k-LUT simulator does the initial simulation.
 /// 6. **unDET handling with escalating retry**: the paper marks a
 ///    budget-exhausted candidate don't-touch permanently (lines 19-21);
 ///    here an `unknown` verdict *defers* the candidate into a retry
@@ -43,11 +42,14 @@
 ///    pool / cancellation); aborting applies only proven merges and
 ///    tags `sweep_stats::outcome`.
 /// 7. **Batched counter-example refinement** (classic FRAIG batching):
-///    CE bits are buffered into the open tail word by the resimulation
-///    pass, and classes are re-partitioned lazily — the current
-///    candidate's class when it needs the fresh bits to make progress,
-///    any other class when the loop advances to it, and all classes at
-///    once when the word fills with 64 CEs.
+///    CE bits are buffered into the open word's column by the
+///    resimulation pass, and classes are re-partitioned lazily — the
+///    current candidate's class when it needs the fresh bits to make
+///    progress, any other class when the loop advances to it, and all
+///    classes at once when the word fills with 64 CEs.  A refined full
+///    word is never read again, so the next CE starts a fresh one in the
+///    same column: CE memory is one word per node id for the whole
+///    sweep.
 /// 8. **Size-scaled budgets**: the initial pattern budget and the
 ///    round-2 guided-query budget scale with gate count (capped), so
 ///    small instances stop over-investing in simulation and guided SAT.
@@ -79,12 +81,6 @@ struct stp_sweep_params
   /// sweeps; 0 = never rebuild.  Ignored when `use_incremental_cnf` is
   /// false (every query already starts empty).
   uint64_t sat_clause_budget = 4'000'000;
-  /// Signature-store word budget: when more than this many live words
-  /// accumulate at a 64-CE word boundary, absorbed words (everything the
-  /// equivalence classes already refined with) are trimmed from the
-  /// candidate and resimulation stores.  0 = keep every word forever
-  /// (the unbounded ablation baseline).
-  uint32_t store_word_budget = 8;
 
   /// Signature-guided SAT querying: solver variables' saved polarities
   /// are seeded from the nodes' values in the last initial-simulation
@@ -135,7 +131,7 @@ struct stp_sweep_params
   /// partitioned into the same number of shards and swept over the
   /// *frozen* AIG, recording proven merges instead of applying them;
   /// each shard starts another fresh manager with private copies of the
-  /// pattern set and classes and only the live signature word.  Proven
+  /// classes and the open counter-example word.  Proven
   /// merges are then committed on the calling thread in deterministic
   /// canonical order (ascending node id).  The sweep *trajectory* is a
   /// pure function of the shard count — running 4 shards on 1 thread or
@@ -174,10 +170,6 @@ struct stp_sweep_params
   /// Deterministic fault injection for the SAT layer
   /// (sat::fault_plan, forwarded to the cnf_manager); all-zero = off.
   sat::fault_plan faults{};
-  /// Injected store/pattern trim failure: every trim request is
-  /// refused, as if freeing absorbed words failed.  Trims only release
-  /// memory, so results must be identical (pinned by the fault suite).
-  bool fault_fail_store_trim = false;
   /// \}
 
   std::size_t tfi_limit = 1000;  ///< Alg. 2 line 1

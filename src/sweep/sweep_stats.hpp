@@ -120,17 +120,6 @@ struct sweep_stats
   double sat_inprocess_seconds = 0.0; ///< wall-clock spent inprocessing
   /// \}
 
-  /// \name Signature-store memory counters (candidate + resim stores)
-  /// \{
-  bool has_store_counters = false; ///< engine tracks a word budget
-  uint64_t store_words_live = 0;    ///< words still backed at sweep end
-  uint64_t store_words_trimmed = 0; ///< absorbed words whose storage was freed
-  uint64_t store_peak_bytes = 0;    ///< sum of per-store peak footprints
-  /// Pattern-set ring: CE words still backed / recycled into the ring.
-  uint64_t pattern_words_live = 0;
-  uint64_t pattern_words_recycled = 0;
-  /// \}
-
   /// \name Parallel SAT phase (stp_sweep_params::threads / sat_shards)
   /// \{
   uint32_t threads = 1;      ///< requested worker threads
@@ -141,6 +130,9 @@ struct sweep_stats
   /// included, even when it runs sharded on the same workers, so
   /// single-thread and sharded rows read alike.
   std::vector<double> worker_sat_seconds;
+  /// Counter-example column bytes (sim::open_word, one word per node
+  /// id), summed over the shards.
+  uint64_t store_peak_bytes = 0;
   /// \}
 
   double sim_seconds = 0.0;   ///< "Simulation" (initial + CE)
@@ -154,7 +146,6 @@ enum class counter_scope : uint8_t
 {
   all,      ///< every engine object, fraig and STP alike
   stp,      ///< STP sweeper only: present when `worker_sat_seconds` is set
-  store,    ///< present when `has_store_counters` is set
   internal, ///< kept in sweep_stats, not emitted per engine
 };
 
@@ -198,11 +189,7 @@ constexpr void for_each_counter(Fn&& fn)
   fn("sat_shards", &s::sat_shards, stp);
   fn("workers_used", &s::workers_used, stp);
   fn("worker_sat_seconds", &s::worker_sat_seconds, stp);
-  fn("store_words_live", &s::store_words_live, store);
-  fn("store_words_trimmed", &s::store_words_trimmed, store);
-  fn("store_peak_bytes", &s::store_peak_bytes, store);
-  fn("pattern_words_live", &s::pattern_words_live, store);
-  fn("pattern_words_recycled", &s::pattern_words_recycled, store);
+  fn("store_peak_bytes", &s::store_peak_bytes, stp);
   fn("sim_seconds", &s::sim_seconds, all);
   fn("sat_seconds", &s::sat_seconds, all);
   fn("prologue_seconds", &s::prologue_seconds, all);

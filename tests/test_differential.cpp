@@ -5,25 +5,25 @@
 /// Generates seeded networks from every `src/gen` family (layered random
 /// logic, arithmetic, and redundancy-injected variants of both) and runs
 /// the fraig baseline plus the STP sweeper under six ablation variants
-/// crossing the incremental-CNF × store-budget × signature-guided-SAT ×
-/// clause-database policy flags:
+/// crossing the incremental-CNF × signature-guided-SAT × clause-database
+/// policy flags:
 ///
-///   | variant      | incremental CNF | clause budget  | store budget | phase | cone | r2-group |
-///   |--------------|-----------------|----------------|--------------|-------|------|----------|
-///   | default      | on              | default        | default (8)  | on    | on   | on       |
-///   | scratch      | off (per-query) | —              | ∞            | off   | on   | on       |
-///   | tiny_epochs  | on              | 64 (rebuilds!) | default      | on    | on*  | off      |
-///   | unbounded    | on              | 0 (never)      | ∞            | off   | off  | off      |
-///   | tight_store  | on              | default        | 1            | on    | off  | on       |
-///   | scratch_tight| off             | —              | 1            | off   | off  | off      |
+///   | variant      | incremental CNF | clause budget  | phase | cone |
+///   |--------------|-----------------|----------------|-------|------|
+///   | default      | on              | default        | on    | on   |
+///   | scratch      | off (per-query) | —              | off   | on   |
+///   | tiny_epochs  | on              | 64 (rebuilds!) | on    | on*  |
+///   | unbounded    | on              | 0 (never)      | off   | off  |
+///   | unscoped     | on              | default        | on    | off  |
+///   | scratch_bare | off             | —              | off   | off  |
 ///
 /// (* tiny_epochs is the combination that exercises the learned
 /// phase/activity carry-over across garbage epochs.)
 ///
 /// Every result must be CEC-equivalent to the original, and all six STP
 /// variants must agree exactly on the result gate count — the flags may
-/// only change *when and where* work is paid (encode time, memory),
-/// never *what* is computed.
+/// only change *when and where* work is paid (encode time, clause
+/// memory), never *what* is computed.
 #include "gen/arithmetic.hpp"
 #include "gen/random_logic.hpp"
 #include "gen/redundancy.hpp"
@@ -85,7 +85,6 @@ struct stp_variant
   const char* name;
   bool incremental;
   uint64_t clause_budget;
-  uint32_t store_budget;
   bool signature_phase;
   bool cone_scoped;
   /// Clause-database policy columns, folded into the existing variants
@@ -100,12 +99,12 @@ struct stp_variant
 };
 
 constexpr stp_variant variants[] = {
-    {"default", true, 4'000'000u, 8u, true, true, true, true, 64u},
-    {"scratch", false, 0u, 0u, false, true, false, false, 0u},
-    {"tiny_epochs", true, 64u, 8u, true, true, true, true, 16u},
-    {"unbounded", true, 0u, 0u, false, false, false, true, 32u},
-    {"tight_store", true, 4'000'000u, 1u, true, false, true, false, 0u},
-    {"scratch_tight", false, 0u, 1u, false, false, false, false, 0u},
+    {"default", true, 4'000'000u, true, true, true, true, 64u},
+    {"scratch", false, 0u, false, true, false, false, 0u},
+    {"tiny_epochs", true, 64u, true, true, true, true, 16u},
+    {"unbounded", true, 0u, false, false, false, true, 32u},
+    {"unscoped", true, 4'000'000u, true, false, true, false, 0u},
+    {"scratch_bare", false, 0u, false, false, false, false, 0u},
 };
 
 sweep::stp_sweep_params make_params(const stp_variant& v)
@@ -114,7 +113,6 @@ sweep::stp_sweep_params make_params(const stp_variant& v)
   params.guided.base_patterns = 256u;
   params.use_incremental_cnf = v.incremental;
   params.sat_clause_budget = v.clause_budget;
-  params.store_word_budget = v.store_budget;
   params.use_signature_phase = v.signature_phase;
   params.use_cone_scoped_decisions = v.cone_scoped;
   params.sat_reduce = v.sat_reduce;
@@ -158,7 +156,7 @@ TEST_P(Differential, AblationsAgree)
         << variants[0].name << ", seed " << seed;
   }
   // Pairwise closure: spot the most different pipelines directly —
-  // fraig vs default, scratch vs scratch_tight; the rest follows from
+  // fraig vs default, scratch vs scratch_bare; the rest follows from
   // equivalence to `original`, checked above.
   EXPECT_TRUE(sweep::check_equivalence(by_fraig, results[0]).equivalent);
   EXPECT_TRUE(
@@ -185,7 +183,6 @@ TEST_P(Differential, AblationsAgree)
     EXPECT_EQ(stats[2].sat_solver_rebuilds, 0u);
   }
   EXPECT_GE(stats[1].sat_nodes_encoded, stats[0].sat_nodes_encoded);
-  EXPECT_EQ(stats[3].pattern_words_recycled, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
@@ -203,7 +200,6 @@ TEST(Differential, SeededSweepsAreDeterministic)
     net::aig_network second = make_network(seed);
     sweep::stp_sweep_params params;
     params.guided.base_patterns = 256u;
-    params.store_word_budget = 2u; // exercise trims + the pattern ring
     const sweep::sweep_stats a = sweep::stp_sweep(first, params);
     const sweep::sweep_stats b = sweep::stp_sweep(second, params);
 
@@ -257,9 +253,9 @@ TEST(Differential, SignaturePhaseAndConeScopingSlice)
 }
 
 /// A sweep that produces enough counter-examples to cross several
-/// 64-pattern word boundaries must recycle absorbed CE word blocks
-/// through the pattern ring instead of growing without bound.
-TEST(Differential, PatternRingRecyclesUnderTightBudget)
+/// 64-pattern word boundaries stays sound and keeps its counter-example
+/// state in one column — one word per node id — however many arrive.
+TEST(Differential, CounterExamplesCrossWordBoundaries)
 {
   // Near-duplicates are false candidates only a counter-example can
   // split; with window resolution off and guided patterns off, each one
@@ -272,21 +268,20 @@ TEST(Differential, PatternRingRecyclesUnderTightBudget)
   params.guided.base_patterns = 128u;
   params.use_guided_patterns = false; // keep signatures noisy: more CEs
   params.use_window_resolution = false;
-  params.store_word_budget = 1u;
   const sweep::sweep_stats s = sweep::stp_sweep(aig, params);
   ASSERT_GT(s.ce_patterns, 128u) << "fixture no longer produces enough CEs";
-  EXPECT_GT(s.pattern_words_recycled, 0u);
-  EXPECT_LE(s.pattern_words_live, 2u); // the open word (+ boundary slack)
+  EXPECT_EQ(s.sat_shards, 1u);
+  EXPECT_EQ(s.store_peak_bytes, original.size() * sizeof(uint64_t));
   EXPECT_TRUE(sweep::check_equivalence(original, aig).equivalent);
 }
 
 /// Finite budgets and injected SAT-layer faults: a fifth differential
 /// column family.  Tight per-query budgets (with and without the
-/// escalating unDET retry), a forced-unknown schedule, forced
-/// garbage-epoch rebuilds, and refused store trims all degrade *effort*
-/// only — every result must stay CEC-equivalent to the original, every
-/// un-governed sweep must report `sweep_outcome::complete`, and the
-/// columns that cannot change answers (rebuild, trim) must land on the
+/// escalating unDET retry), a forced-unknown schedule and forced
+/// garbage-epoch rebuilds all degrade *effort* only — every result must
+/// stay CEC-equivalent to the original, every un-governed sweep must
+/// report `sweep_outcome::complete`, and the column that cannot change
+/// answers (rebuild) must land on the
 /// default column's exact result gate count.  This is the slice the
 /// per-push ASan CI job runs.
 TEST(Differential, FiniteBudgetAndInjectedFaultsStaySound)
@@ -298,16 +293,14 @@ TEST(Differential, FiniteBudgetAndInjectedFaultsStaySound)
     uint32_t retry_rounds;
     uint32_t unknown_every;
     uint32_t rebuild_every;
-    bool fail_trim;
     bool result_identical; ///< must match the default column's gates
   };
   constexpr fault_column columns[] = {
-      {"default", -1, 3u, 0u, 0u, false, true},
-      {"budget50_retry", 50, 3u, 0u, 0u, false, false},
-      {"budget50_single", 50, 0u, 0u, 0u, false, false},
-      {"fault_unknown", -1, 3u, 3u, 0u, false, false},
-      {"fault_rebuild", -1, 3u, 0u, 7u, false, true},
-      {"fault_trim", -1, 3u, 0u, 0u, true, true},
+      {"default", -1, 3u, 0u, 0u, true},
+      {"budget50_retry", 50, 3u, 0u, 0u, false},
+      {"budget50_single", 50, 0u, 0u, 0u, false},
+      {"fault_unknown", -1, 3u, 3u, 0u, false},
+      {"fault_rebuild", -1, 3u, 0u, 7u, true},
   };
   for (const uint64_t seed : {1u, 6u, 12u, 18u, 23u, 31u, 37u, 42u, 44u,
                               49u}) {
@@ -321,8 +314,6 @@ TEST(Differential, FiniteBudgetAndInjectedFaultsStaySound)
       params.undet_retry_rounds = c.retry_rounds;
       params.faults.unknown_every = c.unknown_every;
       params.faults.rebuild_every = c.rebuild_every;
-      params.fault_fail_store_trim = c.fail_trim;
-      params.store_word_budget = 1u; // give the trim fault work to refuse
       const sweep::sweep_stats s = sweep::stp_sweep(result, params);
       EXPECT_EQ(s.outcome, sweep::sweep_outcome::complete)
           << c.name << ", seed " << seed;

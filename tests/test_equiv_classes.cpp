@@ -94,7 +94,7 @@ TEST(EquivClasses, RefineSplitsOnNewWord)
   aig.create_po(g2);
   const net::node n1 = g1.get_node(), n2 = g2.get_node();
 
-  sim::signature_store sig(aig.size(), 2u);
+  sim::signature_store sig(aig.size(), 1u);
   sig.word(a.get_node(), 0u) = 0xffu;
   sig.word(b.get_node(), 0u) = 0xf0u;
   sig.word(n1, 0u) = 0xaau;
@@ -104,10 +104,11 @@ TEST(EquivClasses, RefineSplitsOnNewWord)
   classes.build(aig, sig);
   ASSERT_EQ(classes.class_of(n1), classes.class_of(n2));
 
-  // A counter-example lands in word 1 and separates them.
-  sig.word(n1, 1u) = 0x1u;
-  sig.word(n2, 1u) = 0x0u;
-  const std::size_t created = classes.refine_with_word(sig, 1u);
+  // A counter-example lands in the next word's column and separates
+  // them.
+  std::vector<uint64_t> column(aig.size(), 0u);
+  column[n1] = 0x1u;
+  const std::size_t created = classes.refine_with_word(column);
   EXPECT_GE(created, 0u);
   EXPECT_EQ(classes.class_of(n1), equiv_classes::no_class);
   EXPECT_EQ(classes.class_of(n2), equiv_classes::no_class);
@@ -134,10 +135,10 @@ TEST(EquivClasses, RefineKeepsComplementPairsTogether)
   ASSERT_EQ(classes.class_of(n1), classes.class_of(n2));
 
   // New word keeps them complementary → no split.
-  sig.append_word();
-  sig.word(n1, 1u) = 0x55u;
-  sig.word(n2, 1u) = ~uint64_t{0x55u};
-  classes.refine_with_word(sig, 1u);
+  std::vector<uint64_t> column(aig.size(), 0u);
+  column[n1] = 0x55u;
+  column[n2] = ~uint64_t{0x55u};
+  classes.refine_with_word(column);
   EXPECT_EQ(classes.class_of(n1), classes.class_of(n2));
   EXPECT_NE(classes.class_of(n1), equiv_classes::no_class);
 }
@@ -187,19 +188,18 @@ TEST(EquivClasses, DenseRefinementMatchesMapBasedReference)
   // across several refinement rounds (so scratch reuse is exercised).
   const auto aig = gen::make_random_logic({10u, 8u, 400u, 123u, 30u});
   const auto patterns = sim::pattern_set::random(10u, 128u, 7u);
-  auto sig = sim::simulate_aig(aig, patterns);
+  const auto sig = sim::simulate_aig(aig, patterns);
   equiv_classes classes;
   classes.build(aig, sig);
   ASSERT_GT(classes.num_classes(), 0u);
 
   std::mt19937_64 rng{2024u};
   std::uniform_int_distribution<uint64_t> pick(0u, 3u);
+  std::vector<uint64_t> column(aig.size());
   for (int round = 0; round < 6; ++round) {
-    sig.append_word();
-    const std::size_t w = sig.num_words() - 1u;
     // Small value alphabet → classes split partially, not into dust.
-    for (std::size_t n = 0; n < sig.size(); ++n) {
-      sig.word(n, w) = pick(rng) * 0x9e3779b97f4a7c15ull;
+    for (uint64_t& word : column) {
+      word = pick(rng) * 0x9e3779b97f4a7c15ull;
     }
     const uint64_t mask = round % 2 == 0 ? ~uint64_t{0}
                                          : 0xffff0000ffff0000ull;
@@ -215,7 +215,7 @@ TEST(EquivClasses, DenseRefinementMatchesMapBasedReference)
       std::map<uint64_t, std::vector<net::node>> parts;
       for (const net::node m : members) {
         const uint64_t flip = classes.phase(m) ? ~uint64_t{0} : 0u;
-        parts[(sig.word(m, w) ^ flip) & mask].push_back(m);
+        parts[(column[m] ^ flip) & mask].push_back(m);
       }
       auto& groups = expected.emplace_back();
       for (auto& [key, part] : parts) {
@@ -223,7 +223,7 @@ TEST(EquivClasses, DenseRefinementMatchesMapBasedReference)
       }
     }
 
-    classes.refine_with_word(sig, w, mask);
+    classes.refine_with_word(column, mask);
 
     for (const auto& groups : expected) {
       for (const auto& part : groups) {

@@ -205,73 +205,85 @@ TEST_P(AigerFuzz, BothFormatsRoundTripRandomCircuits)
 INSTANTIATE_TEST_SUITE_P(Seeds, AigerFuzz,
                          ::testing::Range(uint64_t{0}, uint64_t{6}));
 
-class StoreTrimFuzz : public ::testing::TestWithParam<uint64_t>
+class OpenWordFuzz : public ::testing::TestWithParam<uint64_t>
 {
 };
 
-/// Property behind the sweeper's store word budget: once the classes
-/// have been refined with a word, its storage can be freed without
-/// changing any later refinement — the partition already absorbed it.
-/// Runs the same counter-example word sequence against a trimmed and a
-/// never-trimmed store and checks the partitions stay identical.
-TEST_P(StoreTrimFuzz, RefinementUnchangedWhenAbsorbedWordsTrimmed)
+/// Property behind the sweepers' one-column counter-example state: once
+/// the classes have been refined with a word, nothing reads it again —
+/// the partition absorbed it.  Drives the same counter-example sequence
+/// through a `sim::open_word` column and a never-trimmed multi-word
+/// store: refining from either keeps the partitions identical after
+/// every pattern, and after every filled word both equal a fresh build
+/// over every word of the store.
+TEST_P(OpenWordFuzz, RefinementMatchesNeverTrimmedStore)
 {
   std::mt19937_64 rng{0xb0d9e7u + GetParam()};
   const auto aig = gen::make_random_logic(
       {10u, 8u, 300u, GetParam() + 77u, 30u});
-  auto patterns = sim::pattern_set::random(aig.num_pis(), 128u, GetParam());
+  // Few initial patterns leave false candidates to split; the counts
+  // land on and off a word boundary.
+  constexpr uint64_t initial_counts[] = {64u, 9u, 20u, 31u, 2u, 42u, 53u,
+                                         75u};
+  auto patterns = sim::pattern_set::random(
+      aig.num_pis(), initial_counts[GetParam()], GetParam());
+  sim::signature_store store = sim::simulate_aig(aig, patterns);
+  const sim::resim_plan plan = sim::make_resim_plan(aig);
+  sim::open_word open{patterns, plan};
 
-  sim::signature_store ref = sim::simulate_aig(aig, patterns);
-  sim::signature_store trimmed = ref;
-
-  sweep::equiv_classes classes_ref;
-  sweep::equiv_classes classes_trimmed;
-  classes_ref.build(aig, ref, sim::tail_mask(patterns.num_patterns()));
-  classes_trimmed.build(aig, trimmed,
-                        sim::tail_mask(patterns.num_patterns()));
-
-  const auto assert_same_partition = [&](std::size_t step) {
-    ASSERT_EQ(classes_trimmed.num_classes(), classes_ref.num_classes())
-        << "step " << step;
-    for (net::node n = 0; n < aig.size(); ++n) {
-      ASSERT_EQ(classes_trimmed.class_of(n), classes_ref.class_of(n))
-          << "step " << step << " node " << n;
-    }
+  sweep::equiv_classes from_open;
+  from_open.build(aig, store, sim::tail_mask(patterns.num_patterns()));
+  sweep::equiv_classes from_store = from_open;
+  // Class members are sorted, so the front one names the class.
+  const auto lowest_member = [](const sweep::equiv_classes& classes,
+                                net::node n) {
+    const uint32_t c = classes.class_of(n);
+    return c == sweep::equiv_classes::no_class ? n
+                                               : classes.members(c).front();
   };
 
-  for (std::size_t step = 0; step < 160u; ++step) {
-    // One random counter-example pattern, resimulated into both stores.
+  std::vector<uint64_t> store_column(aig.size());
+  std::size_t splits = 0;
+  for (std::size_t step = 0; step < 200u; ++step) {
+    // Sparse flips like real counter-examples, every tenth one dense.
+    std::bernoulli_distribution flip{step % 10u == 9u ? 0.5 : 0.1};
     std::vector<bool> ce(aig.num_pis());
     for (std::size_t i = 0; i < ce.size(); ++i) {
-      ce[i] = (rng() & 1u) != 0u;
+      ce[i] = flip(rng);
     }
     patterns.add_pattern(ce);
-    sim::resimulate_aig_all_last_word(aig, patterns, ref);
-    sim::resimulate_aig_all_last_word(aig, patterns, trimmed);
+    sim::resimulate_aig_all_last_word(aig, patterns, store);
+    open.add_pattern(ce);
 
     const std::size_t last = patterns.num_words() - 1u;
+    for (net::node n = 0; n < aig.size(); ++n) {
+      store_column[n] = store.word(n, last);
+    }
     const uint64_t mask = sim::tail_mask(patterns.num_patterns());
-    classes_ref.refine_with_word(ref, last, mask);
-    classes_trimmed.refine_with_word(trimmed, last, mask);
-    assert_same_partition(step);
-    if (HasFatalFailure()) {
-      return;
+    splits += from_store.refine_with_word(store_column, mask);
+    from_open.refine_with_word(open.column(), open.mask());
+    ASSERT_EQ(from_open.num_classes(), from_store.num_classes())
+        << "step " << step;
+    for (net::node n = 0; n < aig.size(); ++n) {
+      ASSERT_EQ(from_open.class_of(n), from_store.class_of(n))
+          << "step " << step << " node " << n;
     }
 
-    // Everything at or before `last` is now absorbed; trim a random
-    // absorbed prefix (sometimes including the just-refined word when
-    // the pattern count sits on a 64-bit boundary).
-    const bool aligned = patterns.num_patterns() % 64u == 0u;
-    const std::size_t max_live = aligned ? last + 1u : last;
-    if (rng() % 2u == 0u) {
-      trimmed.trim_words(rng() % (max_live + 1u));
+    if (open.full()) {
+      // The word is complete and the next pattern starts a fresh one:
+      // the column forgets it, the partition must not.
+      sweep::equiv_classes rebuilt;
+      rebuilt.build(aig, store, mask);
+      for (net::node n = 0; n < aig.size(); ++n) {
+        ASSERT_EQ(lowest_member(from_open, n), lowest_member(rebuilt, n))
+            << "step " << step << " node " << n;
+      }
     }
   }
-  EXPECT_GT(trimmed.words_trimmed(), 0u);
-  EXPECT_LT(trimmed.live_bytes(), ref.live_bytes());
+  EXPECT_GT(splits, 0u) << "no counter-example split a class";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, StoreTrimFuzz,
+INSTANTIATE_TEST_SUITE_P(Seeds, OpenWordFuzz,
                          ::testing::Range(uint64_t{0}, uint64_t{8}));
 
 } // namespace

@@ -50,11 +50,11 @@ TEST(Patterns, AddPatternAppends)
   EXPECT_TRUE(p.bit(1, 1));
 }
 
-TEST(Patterns, InputBitsFailsLoudlyOnTailWordsAndTrimmedBase)
+TEST(Patterns, InputBitsFailsLoudlyOnTailWords)
 {
   // The contiguous base-arena view silently returned stale words for
-  // counter-example patterns (and freed memory after a base trim) in
-  // release builds; both conditions must throw in every build type.
+  // counter-example patterns in release builds; it must throw in every
+  // build type.
   sim::pattern_set p = sim::pattern_set::random(3u, 128u, 9u);
   EXPECT_EQ(p.input_bits(0u).size(), p.num_words());
   while (p.num_words() <= p.base_words()) {
@@ -63,11 +63,6 @@ TEST(Patterns, InputBitsFailsLoudlyOnTailWordsAndTrimmedBase)
   EXPECT_THROW(p.input_bits(0u), std::logic_error);
   // input_word / copy_input_bits stay the supported accessors.
   EXPECT_EQ(p.input_word(0u, p.num_words() - 1u) & 1u, 1u);
-
-  sim::pattern_set trimmed = sim::pattern_set::random(3u, 128u, 9u);
-  trimmed.trim_words(trimmed.num_words()); // frees the base arena
-  ASSERT_GT(trimmed.words_trimmed(), 0u);
-  EXPECT_THROW(trimmed.input_bits(0u), std::logic_error);
 }
 
 TEST(Patterns, TailBlocksAreWordMajorAndAbsoluteIndexed)
@@ -90,62 +85,6 @@ TEST(Patterns, TailBlocksAreWordMajorAndAbsoluteIndexed)
   EXPECT_EQ(p.input_word(2u, 1u) >> 36u, (~uint64_t{0}) >> 36u);
   EXPECT_EQ(p.input_word(0u, 2u), (uint64_t{1} << 36u) - 1u);
   EXPECT_TRUE(p.bit(0u, 163u));
-}
-
-/// Property (the bounded-ring contract, mirroring the
-/// `test_signature_store` budget tests): under random append/trim
-/// interleavings, every live word of the trimmed pattern set matches an
-/// unbounded reference fed the identical patterns, counters stay
-/// consistent, and absorbed CE word blocks really recycle through the
-/// ring instead of allocating fresh.
-TEST(Patterns, RingInterleavingsMatchUnboundedReference)
-{
-  for (uint64_t seed = 0; seed < 20u; ++seed) {
-    std::mt19937_64 rng{0x9a77u + seed};
-    const uint32_t inputs = 1u + rng() % 12u;
-    const uint64_t base = rng() % 130u;
-    auto trimmed = sim::pattern_set::random(inputs, base, seed);
-    auto reference = sim::pattern_set::random(inputs, base, seed);
-
-    std::vector<bool> assignment(inputs);
-    for (std::size_t step = 0; step < 400u; ++step) {
-      if (rng() % 8u != 0u) {
-        for (uint32_t i = 0; i < inputs; ++i) {
-          assignment[i] = (rng() & 1u) != 0u;
-        }
-        trimmed.add_pattern(assignment);
-        reference.add_pattern(assignment);
-      } else {
-        // Absorb everything but the open word, like the sweeper's
-        // word-budget trim.
-        const std::size_t open = trimmed.num_patterns() % 64u == 0u
-                                     ? trimmed.num_words()
-                                     : trimmed.num_words() - 1u;
-        trimmed.trim_words(open);
-      }
-      ASSERT_EQ(trimmed.num_patterns(), reference.num_patterns());
-      ASSERT_EQ(trimmed.num_words(), reference.num_words());
-      ASSERT_EQ(trimmed.live_words() + trimmed.words_trimmed(),
-                trimmed.num_words());
-      for (uint32_t i = 0; i < inputs; ++i) {
-        for (std::size_t w = trimmed.first_live_word();
-             w < trimmed.num_words(); ++w) {
-          ASSERT_EQ(trimmed.input_word(i, w), reference.input_word(i, w))
-              << "seed " << seed << " input " << i << " word " << w;
-        }
-      }
-    }
-    EXPECT_EQ(reference.words_trimmed(), 0u);
-    EXPECT_EQ(reference.words_recycled(), 0u);
-    EXPECT_LE(trimmed.tail_blocks_allocated(),
-              reference.tail_blocks_allocated());
-    if (trimmed.words_recycled() > 2u) {
-      // The ring bounds fresh allocations: once blocks recycle, appends
-      // reuse them instead of allocating one block per CE word.
-      EXPECT_LT(trimmed.tail_blocks_allocated(),
-                reference.tail_blocks_allocated());
-    }
-  }
 }
 
 TEST(Simulate, AdderComputesArithmetic)
@@ -242,9 +181,10 @@ TEST(Simulate, IncrementalLastWordMatchesFullResim)
 /// Appends 150 counter-example patterns to \p patterns one at a time —
 /// sparse flips like real CEs, every tenth one dense, crossing word
 /// boundaries — and after each one checks the open word that the
-/// plan-driven whole-AIG resimulation of \p aig wrote into \p sig
-/// against `simulate_aig` of \p reference on the final pattern set
-/// (bits beyond the patterns seen so far masked off).
+/// plan-driven whole-AIG resimulation of \p aig wrote into \p sig, and
+/// the column of a `sim::open_word` fed the same patterns, against
+/// `simulate_aig` of \p reference on the final pattern set (bits beyond
+/// the patterns seen so far masked off).
 void expect_resim_tracks_simulation(const net::aig_network& aig,
                                     const net::aig_network& reference,
                                     sim::pattern_set patterns,
@@ -265,15 +205,33 @@ void expect_resim_tracks_simulation(const net::aig_network& aig,
   const auto expected = sim::simulate_aig(reference, final_patterns);
 
   const sim::resim_plan plan = sim::make_resim_plan(aig);
+  sim::open_word open{patterns, plan};
+  const auto expect_column = [&] {
+    ASSERT_EQ(open.num_patterns(), patterns.num_patterns());
+    ASSERT_EQ(open.mask(), sim::tail_mask(patterns.num_patterns()));
+    const std::size_t last = patterns.num_words() - 1u;
+    for (net::node n = 0; n < aig.size(); ++n) {
+      ASSERT_EQ(open.column()[n] & open.mask(),
+                expected.word(n, last) & open.mask())
+          << "column row " << n << " after " << patterns.num_patterns()
+          << " patterns";
+    }
+  };
+  expect_column(); // the initial patterns' last word
   for (const std::vector<bool>& ce : ces) {
     patterns.add_pattern(ce);
     sim::resimulate_aig_all_last_word(aig, patterns, sig, plan);
+    open.add_pattern(ce);
     const std::size_t last = patterns.num_words() - 1u;
     const uint64_t mask = sim::tail_mask(patterns.num_patterns());
     for (net::node n = 0; n < aig.size(); ++n) {
       ASSERT_EQ(sig.word(n, last) & mask, expected.word(n, last) & mask)
           << "node " << n << " after " << patterns.num_patterns()
           << " patterns";
+    }
+    expect_column();
+    if (::testing::Test::HasFatalFailure()) {
+      return;
     }
   }
 }
@@ -290,23 +248,33 @@ TEST(Resimulate, OpenWordInNodeMajorBaseMatchesSimulation)
   expect_resim_tracks_simulation(aig, aig, patterns, std::move(sig), 5u);
 }
 
+/// A word-major store whose words before the open one stay zero: the
+/// last-word recompute reads pattern words only.
+sim::signature_store open_word_store(std::size_t nodes,
+                                     const sim::pattern_set& patterns)
+{
+  sim::signature_store sig(nodes, 0u);
+  for (uint64_t w = 0; w < patterns.num_patterns() / 64u; ++w) {
+    sig.append_word();
+  }
+  return sig;
+}
+
 TEST(Resimulate, OpenWordInWordMajorTailMatchesSimulation)
 {
-  // The sweeper's layout: absorbed words are born trimmed, and every
-  // counter-example word is a word-major tail block (vectorized path).
+  // Every counter-example word is a word-major tail block (vectorized
+  // path), as for the guided prologue's witnesses.
   const auto aig = stps::gen::make_random_logic({14u, 10u, 600u, 23u, 25u});
   const auto patterns = sim::pattern_set::random(aig.num_pis(), 200u, 23u);
-  sim::signature_store sig(aig.size(), 0u);
-  for (uint64_t w = 0; w < patterns.num_patterns() / 64u; ++w) {
-    sig.append_trimmed_word();
-  }
+  sim::signature_store sig = open_word_store(aig.size(), patterns);
   expect_resim_tracks_simulation(aig, aig, patterns, std::move(sig), 23u);
 }
 
 TEST(Resimulate, GatesKilledBySubstitutionKeepTheirFunction)
 {
   // A fraig sweep kills gates through substitute_node; every node id,
-  // dead or alive, must still resimulate to its original function.
+  // dead or alive, must still resimulate to its original function — in
+  // the store and in the sweepers' open-word column alike.
   const auto original = stps::gen::inject_redundancy(
       stps::gen::make_random_logic({14u, 10u, 600u, 91u, 25u}),
       {8u, 4u, 91u});
@@ -314,10 +282,7 @@ TEST(Resimulate, GatesKilledBySubstitutionKeepTheirFunction)
   const auto stats = sweep::fraig_sweep(swept, {256u, 1u, -1});
   ASSERT_GT(stats.merges, 0u) << "fixture kills no gate";
   const auto patterns = sim::pattern_set::random(swept.num_pis(), 200u, 91u);
-  sim::signature_store sig(swept.size(), 0u);
-  for (uint64_t w = 0; w < patterns.num_patterns() / 64u; ++w) {
-    sig.append_trimmed_word();
-  }
+  sim::signature_store sig = open_word_store(swept.size(), patterns);
   expect_resim_tracks_simulation(swept, original, patterns, std::move(sig),
                                  91u);
 }

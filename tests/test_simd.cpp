@@ -10,10 +10,12 @@
 /// strides, and the resim plan's safe/unsafe 4-block split.  On a CPU
 /// without AVX2 the suite degenerates to scalar-vs-scalar and
 /// `force_level(avx2)` must throw instead of misdispatching.
+#include "gen/random_logic.hpp"
 #include "sim/bitwise_sim.hpp"
 #include "sim/patterns.hpp"
 #include "sim/signature_store.hpp"
 #include "sim/simd.hpp"
+#include "sweep/equiv_classes.hpp"
 
 #include <gtest/gtest.h>
 
@@ -224,57 +226,63 @@ TEST(Simd, ResimWordsMatchesScalarWithMixedSafeBlocks)
 
 TEST(Simd, SignatureRefinementIdenticalAcrossLevels)
 {
-  // End-to-end: the signature-store word_block + trimmed-word edges the
-  // gather kernel sees in production.  A store with trimmed base words
-  // and word-major tail blocks must produce identical refinement keys
-  // at every level, including the scalar fallback the trimmed layout
-  // forces for freed blocks.
-  sim::signature_store store{64u, 4u};
+  // End-to-end: the sweepers' counter-example path at every level — the
+  // open-word column recomputed by resim_words, the stride-1 key gather
+  // over it, and the class partition it refines to.  40 counter-examples
+  // after 100 initial patterns cross one word boundary.
+  const auto aig = gen::make_random_logic({12u, 8u, 400u, 0x711bu, 30u});
+  const auto patterns =
+      sim::pattern_set::random(aig.num_pis(), 100u, 0x711bu);
+  sweep::equiv_classes initial;
+  initial.build(aig, sim::simulate_aig(aig, patterns),
+                sim::tail_mask(patterns.num_patterns()));
+  const sim::resim_plan plan = sim::make_resim_plan(aig);
   std::mt19937_64 rng{0x711bu};
-  for (std::size_t n = 0; n < store.size(); ++n) {
-    for (std::size_t w = 0; w < store.num_words(); ++w) {
-      store.word(n, w) = rng();
+  std::vector<std::vector<bool>> ces(40u, std::vector<bool>(aig.num_pis()));
+  for (std::vector<bool>& ce : ces) {
+    for (std::size_t i = 0; i < ce.size(); ++i) {
+      ce[i] = rng() % 8u == 0u;
     }
   }
-  store.append_word();
-  store.append_word();
-  for (std::size_t n = 0; n < store.size(); ++n) {
-    store.word(n, 4u) = rng();
-    store.word(n, 5u) = rng();
+  std::vector<uint32_t> members;
+  for (uint32_t m = 1u; m < aig.size(); m += 3u) {
+    members.push_back(m);
   }
-  store.trim_words(4u); // whole node-major base freed
+  std::vector<uint8_t> phase(aig.size());
+  for (uint8_t& p : phase) {
+    p = static_cast<uint8_t>(rng() & 1u);
+  }
 
-  for (const std::size_t word : {std::size_t{4}, std::size_t{5}}) {
-    std::size_t stride = 0;
-    const uint64_t* block = store.word_block(word, &stride);
-    ASSERT_NE(block, nullptr);
-    std::vector<uint32_t> members;
-    for (uint32_t m = 1u; m < store.size(); m += 3u) {
-      members.push_back(m);
+  struct outcome
+  {
+    std::vector<uint64_t> column;
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> class_of;
+  };
+  std::vector<outcome> per_level;
+  for_each_level([&](sim::simd::level) {
+    sim::open_word open{patterns, plan};
+    sweep::equiv_classes classes = initial;
+    for (const std::vector<bool>& ce : ces) {
+      open.add_pattern(ce);
+      classes.refine_with_word(open.column(), open.mask());
     }
-    std::vector<uint8_t> phase(store.size());
-    for (auto& p : phase) {
-      p = static_cast<uint8_t>(rng() & 1u);
+    outcome out;
+    out.column.assign(open.column().begin(), open.column().end());
+    out.keys.resize(members.size());
+    sim::simd::gather_normalized_keys(out.keys.data(), members.data(),
+                                      members.size(), open.column().data(),
+                                      1u, phase.data(), open.mask());
+    for (net::node n = 0; n < aig.size(); ++n) {
+      out.class_of.push_back(classes.class_of(n));
     }
-    std::vector<std::vector<uint64_t>> per_level;
-    for_each_level([&](sim::simd::level) {
-      std::vector<uint64_t> keys(members.size());
-      sim::simd::gather_normalized_keys(
-          keys.data(), members.data(), members.size(), block,
-          static_cast<uint32_t>(stride), phase.data(), sim::tail_mask(40u));
-      per_level.push_back(std::move(keys));
-    });
-    for (std::size_t i = 1; i < per_level.size(); ++i) {
-      EXPECT_EQ(per_level[i], per_level.front()) << "word " << word;
-    }
+    per_level.push_back(std::move(out));
+  });
+  for (std::size_t i = 1; i < per_level.size(); ++i) {
+    EXPECT_EQ(per_level[i].column, per_level.front().column);
+    EXPECT_EQ(per_level[i].keys, per_level.front().keys);
+    EXPECT_EQ(per_level[i].class_of, per_level.front().class_of);
   }
-  // Freed words report null — callers must fall back, never read.
-  std::size_t stride = 0;
-  EXPECT_EQ(store.word_block(0u, &stride), nullptr); // freed base word
-  store.trim_words(5u);                              // free tail word 4
-  EXPECT_EQ(store.word_block(4u, &stride), nullptr);
-  EXPECT_NE(store.word_block(5u, &stride), nullptr);
-  EXPECT_EQ(stride, 1u); // tail blocks are word-major
 }
 
 } // namespace

@@ -113,16 +113,13 @@ TEST(StpSweep, WindowMergesHappen)
 
 TEST(StpSweep, AblationFlagsStillSound)
 {
-  for (int variant = 0; variant < 3; ++variant) {
+  for (int variant = 0; variant < 2; ++variant) {
     auto aig = redundant_test_circuit(40u + variant, 400u);
     const net::aig_network original = aig;
     sweep::stp_sweep_params params;
     params.guided.base_patterns = 256u;
     params.use_guided_patterns = variant != 0;
     params.use_window_resolution = variant != 1;
-    if (variant == 2) {
-      params.store_word_budget = 0u; // keep every signature word
-    }
     sweep::stp_sweep(aig, params);
     const auto cec = sweep::check_equivalence(original, aig);
     EXPECT_TRUE(cec.equivalent) << "variant " << variant;
