@@ -36,7 +36,7 @@ sim::signature_store stp_simulator::simulate_all(
   sim::signature_store sig(klut.size(), words);
   sig.fill_row(1u, ~uint64_t{0});
   klut.foreach_pi(
-      [&](knode n) { patterns.copy_input_bits(n - 2u, sig.row(n)); });
+      [&](knode n) { sig.assign_row(n, patterns.input_bits(n - 2u)); });
 
   stp_scratch scratch;
   scratch.reserve(klut.max_fanin_size());
@@ -101,7 +101,7 @@ stp_simulator::simulate_specified(const net::klut_network& klut,
   sim::signature_store sig(collapsed.net.size(), words);
   sig.fill_row(1u, ~uint64_t{0});
   collapsed.net.foreach_pi(
-      [&](knode n) { patterns.copy_input_bits(n - 2u, sig.row(n)); });
+      [&](knode n) { sig.assign_row(n, patterns.input_bits(n - 2u)); });
 
   stp_scratch scratch;
   scratch.reserve(collapsed.net.max_fanin_size());
@@ -150,10 +150,8 @@ sim::signature_store stp_simulator::simulate_aig(
   }
   const std::size_t words = patterns.num_words();
   sim::signature_store sig(aig.size(), words);
-  // copy_input_bits stays valid after guided witnesses spilled into
-  // pattern tail blocks.
   aig.foreach_pi(
-      [&](net::node n) { patterns.copy_input_bits(n - 1u, sig.row(n)); });
+      [&](net::node n) { sig.assign_row(n, patterns.input_bits(n - 1u)); });
 
   // Every AND with edge complements is one of four 2-input LUTs; fold the
   // complements into the structural matrix so the matrix pass is uniform.

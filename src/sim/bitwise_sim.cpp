@@ -17,10 +17,9 @@ signature_store simulate_aig(const net::aig_network& aig,
   }
   const std::size_t words = patterns.num_words();
   signature_store sig(aig.size(), words);
-  // Row 0 (constant zero) stays zero.  copy_input_bits stays valid when
-  // counter-example words spilled into pattern tail blocks.
+  // Row 0 (constant zero) stays zero.
   aig.foreach_pi(
-      [&](net::node n) { patterns.copy_input_bits(n - 1u, sig.row(n)); });
+      [&](net::node n) { sig.assign_row(n, patterns.input_bits(n - 1u)); });
   aig.foreach_gate([&](net::node n) {
     const net::signal a = aig.fanin0(n);
     const net::signal b = aig.fanin1(n);
@@ -46,7 +45,7 @@ signature_store simulate_klut_bitwise(const net::klut_network& klut,
   signature_store sig(klut.size(), words);
   sig.fill_row(1u, ~uint64_t{0}); // constant one
   klut.foreach_pi([&](net::klut_network::node n) {
-    patterns.copy_input_bits(n - 2u, sig.row(n));
+    sig.assign_row(n, patterns.input_bits(n - 2u));
   });
   std::vector<const uint64_t*> ins;
   klut.foreach_gate([&](net::klut_network::node n) {
@@ -72,60 +71,6 @@ signature_store simulate_klut_bitwise(const net::klut_network& klut,
   });
   sig.mask_tail(n_pat);
   return sig;
-}
-
-void resimulate_aig_all_last_word(const net::aig_network& aig,
-                                  const pattern_set& patterns,
-                                  signature_store& signatures)
-{
-  const std::size_t words = patterns.num_words();
-  if (words == 0u) {
-    return;
-  }
-  if (signatures.size() < aig.size()) {
-    throw std::invalid_argument{
-        "resimulate_aig_all_last_word: store too small"};
-  }
-  while (signatures.num_words() < words) {
-    signatures.append_word();
-  }
-  const std::size_t last = words - 1u;
-  const uint32_t num_pis = aig.num_pis();
-  const std::size_t size = aig.size();
-  if (last >= signatures.base_words()) {
-    // Word-major open word (an appended tail block): one contiguous block
-    // holds every node's bits of the recomputed word.
-    uint64_t* const wb = signatures.tail_word(last).data();
-    wb[0] = 0u;
-    for (uint32_t i = 0; i < num_pis; ++i) {
-      wb[aig.pi_at(i)] = patterns.input_word(i, last);
-    }
-    // Ids are topological and every fanin id is smaller, dead or not.
-    for (net::node n = 1u + num_pis; n < size; ++n) {
-      const net::signal a = aig.fanin0(n);
-      const net::signal b = aig.fanin1(n);
-      const uint64_t va =
-          wb[a.get_node()] ^ (a.is_complemented() ? ~uint64_t{0} : 0u);
-      const uint64_t vb =
-          wb[b.get_node()] ^ (b.is_complemented() ? ~uint64_t{0} : 0u);
-      wb[n] = va & vb;
-    }
-  } else {
-    signatures.word(0u, last) = 0u;
-    for (uint32_t i = 0; i < num_pis; ++i) {
-      signatures.word(aig.pi_at(i), last) = patterns.input_word(i, last);
-    }
-    for (net::node n = 1u + num_pis; n < size; ++n) {
-      const net::signal a = aig.fanin0(n);
-      const net::signal b = aig.fanin1(n);
-      const uint64_t va = signatures.word(a.get_node(), last) ^
-                          (a.is_complemented() ? ~uint64_t{0} : 0u);
-      const uint64_t vb = signatures.word(b.get_node(), last) ^
-                          (b.is_complemented() ? ~uint64_t{0} : 0u);
-      signatures.word(n, last) = va & vb;
-    }
-  }
-  signatures.mask_tail(patterns.num_patterns());
 }
 
 resim_plan make_resim_plan(const net::aig_network& aig)
@@ -163,40 +108,6 @@ resim_plan make_resim_plan(const net::aig_network& aig)
     }
   }
   return plan;
-}
-
-void resimulate_aig_all_last_word(const net::aig_network& aig,
-                                  const pattern_set& patterns,
-                                  signature_store& signatures,
-                                  const resim_plan& plan)
-{
-  const std::size_t words = patterns.num_words();
-  if (words == 0u) {
-    return;
-  }
-  if (signatures.size() < aig.size() || plan.size != aig.size()) {
-    throw std::invalid_argument{
-        "resimulate_aig_all_last_word: store/plan size mismatch"};
-  }
-  while (signatures.num_words() < words) {
-    signatures.append_word();
-  }
-  const std::size_t last = words - 1u;
-  if (last < signatures.base_words()) {
-    // Node-major at the open word: no contiguous word block to
-    // vectorize over; the plain variant handles it.
-    resimulate_aig_all_last_word(aig, patterns, signatures);
-    return;
-  }
-  uint64_t* const wb = signatures.tail_word(last).data();
-  wb[0] = 0u;
-  const uint32_t num_pis = aig.num_pis();
-  for (uint32_t i = 0; i < num_pis; ++i) {
-    wb[aig.pi_at(i)] = patterns.input_word(i, last);
-  }
-  simd::resim_words(wb, plan.lit0.data(), plan.lit1.data(), plan.first,
-                    plan.size, plan.safe4.data());
-  signatures.mask_tail(patterns.num_patterns());
 }
 
 open_word::open_word(const pattern_set& patterns, const resim_plan& plan)

@@ -10,10 +10,9 @@
 ///   individual input bits, assembles a LUT index, and looks the output
 ///   bit up — no word parallelism.  This is the `TL` baseline the STP
 ///   simulator beats by ~7×.
-/// * `resimulate_aig_all_last_word` is the incremental path used when a
-///   witness pattern is appended: only the final word is recomputed.
-/// * `open_word` is the sweepers' counter-example state: one word per
-///   node id, recomputed in place for every counter-example.
+/// * `open_word` absorbs every appended pattern — the guided prologue's
+///   witnesses and the sweepers' counter-examples: one word per node id,
+///   recomputed in place for every pattern.
 #pragma once
 
 #include "network/aig.hpp"
@@ -31,18 +30,6 @@ signature_store simulate_aig(const net::aig_network& aig,
 /// Conventional per-bit k-LUT simulation (baseline of Table I, column TL).
 signature_store simulate_klut_bitwise(const net::klut_network& klut,
                                       const pattern_set& patterns);
-
-/// Recomputes only the last signature word after patterns were appended
-/// (growing the store by a word if the pattern set acquired a new one),
-/// evaluating *every* node id — dead gates included.  Substitutions are
-/// function-preserving and a dead gate keeps the fanin fields it died
-/// with, so an id-order pass over the whole node array yields each
-/// node's original function under the patterns, even for class members
-/// that merged away.  The word is computed from the pattern words
-/// alone; earlier signature words are never read.
-void resimulate_aig_all_last_word(const net::aig_network& aig,
-                                  const pattern_set& patterns,
-                                  signature_store& signatures);
 
 /// Precomputed fanin-literal arrays + dependency-safety bitmap feeding
 /// the vectorized whole-AIG resimulation kernel (sim/simd.hpp).  Built
@@ -62,27 +49,23 @@ struct resim_plan
   uint32_t size = 0;           ///< aig.size() at snapshot time
 };
 
-/// Snapshots \p aig into a resimulation plan (dead gates included, same
-/// id-order total-evaluation contract as `resimulate_aig_all_last_word`).
+/// Snapshots \p aig into a resimulation plan.  Every node id is
+/// evaluated, dead gates included: substitutions are function-preserving
+/// and a dead gate keeps the fanin fields it died with, so an id-order
+/// pass over the whole node array yields each node's original function
+/// under the patterns, even for class members that merged away.
 resim_plan make_resim_plan(const net::aig_network& aig);
 
-/// Plan-driven variant of `resimulate_aig_all_last_word`: identical
-/// results, vectorized over dependency-safe 4-blocks when the store is
-/// word-major at the open word (the guided prologue's witness words;
-/// otherwise falls back to the plain variant).
-void resimulate_aig_all_last_word(const net::aig_network& aig,
-                                  const pattern_set& patterns,
-                                  signature_store& signatures,
-                                  const resim_plan& plan);
-
-/// The sweepers' counter-example state (Alg. 2 lines 26-28): the open
-/// pattern word as one *column* — node id n's word at index n.  The PI
-/// bits live in the PI rows (ids 1..num_pis), so a counter-example sets
-/// one bit per input there and `simd::resim_words` recomputes every
-/// gate row through the resim_plan (dead gates included, same contract).
-/// Classes refine straight from the column and never read a full word
-/// again, so once 64 patterns fill it the next counter-example starts a
-/// fresh word: memory is one column, whatever the counter-example count.
+/// The one home of appended patterns — the guided prologue's witnesses
+/// (§IV-A) and the sweepers' counter-examples (Alg. 2 lines 26-28): the
+/// open pattern word as one *column* — node id n's word at index n.  The
+/// PI bits live in the PI rows (ids 1..num_pis), so a pattern sets one
+/// bit per input there and `simd::resim_words` recomputes every gate row
+/// through the resim_plan (dead gates included, same contract).  Classes
+/// refine straight from the column and the prologue folds a full word
+/// into per-node running values, so nobody reads a full word again: once
+/// 64 patterns fill it the next pattern starts a fresh word, and memory
+/// is one column, whatever the pattern count.
 class open_word
 {
 public:

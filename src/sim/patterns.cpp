@@ -3,7 +3,6 @@
 #include "sim/signature_store.hpp" // tail_mask
 
 #include <algorithm>
-#include <cassert>
 #include <random>
 #include <stdexcept>
 
@@ -16,14 +15,12 @@ void pattern_set::grow_stride(std::size_t words)
   if (words <= stride_) {
     return;
   }
-  assert(tail_.empty() && "grow_stride(): pattern set has tail words");
   const std::size_t new_stride =
       std::max({words, stride_ * 2u, std::size_t{2}});
   std::vector<uint64_t> grown(
       static_cast<std::size_t>(num_inputs_) * new_stride, 0u);
-  const std::size_t valid = std::min(num_words(), stride_);
   for (uint32_t i = 0; i < num_inputs_; ++i) {
-    std::copy_n(bits_.data() + static_cast<std::size_t>(i) * stride_, valid,
+    std::copy_n(bits_.data() + static_cast<std::size_t>(i) * stride_, stride_,
                 grown.data() + static_cast<std::size_t>(i) * new_stride);
   }
   bits_ = std::move(grown);
@@ -89,31 +86,7 @@ std::span<const uint64_t> pattern_set::input_bits(uint32_t input) const
   if (input >= num_inputs_) {
     throw std::out_of_range{"input_bits: no such input"};
   }
-  // The contiguous base-arena view cannot represent tail blocks:
-  // returning it anyway would silently hand back stale words for every
-  // counter-example pattern.  Callers on sets past their
-  // initial-simulation phase must use input_word / copy_input_bits;
-  // reaching here with tail words is a logic bug and fails loudly in
-  // every build type.
-  if (num_words() > stride_) {
-    throw std::logic_error{
-        "input_bits: pattern set has counter-example tail words — "
-        "use input_word/copy_input_bits"};
-  }
   return {row_data(input), num_words()};
-}
-
-void pattern_set::copy_input_bits(uint32_t input,
-                                  std::span<uint64_t> out) const
-{
-  if (input >= num_inputs_) {
-    throw std::out_of_range{"copy_input_bits: no such input"};
-  }
-  const std::size_t base = std::min(out.size(), stride_);
-  std::copy_n(row_data(input), base, out.data());
-  for (std::size_t w = base; w < out.size(); ++w) {
-    out[w] = input_word(input, w);
-  }
 }
 
 bool pattern_set::bit(uint32_t input, uint64_t pattern) const
@@ -124,48 +97,19 @@ bool pattern_set::bit(uint32_t input, uint64_t pattern) const
   return (input_word(input, pattern >> 6u) >> (pattern & 63u)) & 1u;
 }
 
-void pattern_set::reserve_patterns(uint64_t total_patterns)
-{
-  if (!tail_.empty()) {
-    return; // tail blocks are per-word; nothing to pre-grow
-  }
-  grow_stride((total_patterns + 63u) / 64u);
-}
-
 void pattern_set::add_pattern(const std::vector<bool>& assignment)
 {
   if (assignment.size() != num_inputs_) {
     throw std::invalid_argument{"add_pattern: arity mismatch"};
   }
-  const uint64_t index = num_patterns_;
-  const std::size_t word = index >> 6u;
-  const uint64_t mask = uint64_t{1} << (index & 63u);
-  // Words within the base capacity stay input-major; the first spill
-  // past it starts the word-major tail (never a base repack).
-  uint64_t* block = nullptr;
-  if (word >= stride_) {
-    while (stride_ + tail_.size() <= word) {
-      tail_.emplace_back(num_inputs_, 0u);
-    }
-    block = tail_[word - stride_].data();
-  }
+  const std::size_t word = num_patterns_ >> 6u;
+  const uint64_t mask = uint64_t{1} << (num_patterns_ & 63u);
+  grow_stride(word + 1u);
   ++num_patterns_;
   for (uint32_t i = 0; i < num_inputs_; ++i) {
     if (assignment[i]) {
-      if (block != nullptr) {
-        block[i] |= mask;
-      } else {
-        row_data(i)[word] |= mask;
-      }
+      row_data(i)[word] |= mask;
     }
-  }
-}
-
-void pattern_set::add_patterns(std::span<const std::vector<bool>> assignments)
-{
-  reserve_patterns(num_patterns_ + assignments.size());
-  for (const auto& a : assignments) {
-    add_pattern(a);
   }
 }
 

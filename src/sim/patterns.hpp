@@ -8,15 +8,9 @@
 /// pattern set (see signature_store.hpp); exhaustive sets make
 /// signatures truth tables.
 ///
-/// **Layout.**  The words dimensioned at construction time (the *base* —
-/// the initial random or exhaustive patterns) live in one flat
-/// input-major arena at a fixed stride.  Words appended later by
-/// `add_pattern` (the guided prologue's SAT witnesses, §IV-A) live in
-/// *word-major tail blocks*: one flat `num_inputs`-sized block per
-/// appended word, exactly mirroring `sim::signature_store`.  Appending
-/// therefore never repacks the input-major arena, and one witness's
-/// bits — one bit per input of the single open word — land in one
-/// contiguous block.
+/// **Layout.**  One flat input-major arena at a fixed stride: word `w` of
+/// input `i` is `bits_[i * stride + w]`.  `add_pattern` grows the stride
+/// geometrically, so appending stays amortized O(num_inputs) per pattern.
 #pragma once
 
 #include <cstdint>
@@ -47,41 +41,20 @@ public:
   {
     return (num_patterns_ + 63u) / 64u;
   }
-  /// Words living in the input-major base arena; words at or beyond this
-  /// index live in word-major tail blocks.
-  std::size_t base_words() const noexcept { return stride_; }
-
-  /// Word \p w of \p input's bit string; dispatches across the base
-  /// arena and the tail blocks.
+  /// Word \p w of \p input's bit string.
   uint64_t input_word(uint32_t input, std::size_t w) const noexcept
   {
-    return w < stride_ ? row_data(input)[w] : tail_[w - stride_][input];
+    return row_data(input)[w];
   }
 
   /// Contiguous bit string of \p input (num_words() words; trailing bits
-  /// zero).  Valid only while every word lives in the base arena — i.e.
-  /// before any counter-example spilled into a tail block — which holds
-  /// for every initial-simulation use.
+  /// zero).
   std::span<const uint64_t> input_bits(uint32_t input) const;
-
-  /// Copies \p input's first `out.size()` words into \p out (≤
-  /// num_words()): one bulk copy for the base arena, per-word dispatch
-  /// for tail words — the simulators' PI-row load, valid on pattern
-  /// sets with appended counter-example words.
-  void copy_input_bits(uint32_t input, std::span<uint64_t> out) const;
 
   bool bit(uint32_t input, uint64_t pattern) const;
 
-  /// Pre-allocates base capacity for \p total_patterns patterns; no-op
-  /// once tail words exist (tail blocks are per-word already).
-  void reserve_patterns(uint64_t total_patterns);
-
   /// Appends one pattern (e.g. a SAT counter-example, §I).
   void add_pattern(const std::vector<bool>& assignment);
-
-  /// Bulk-appends patterns (counter-examples batched before
-  /// re-simulation).
-  void add_patterns(std::span<const std::vector<bool>> assignments);
 
 private:
   uint64_t* row_data(uint32_t input) noexcept
@@ -92,15 +65,13 @@ private:
   {
     return bits_.data() + static_cast<std::size_t>(input) * stride_;
   }
-  /// Grows the base stride to at least \p words; only legal while every
-  /// word still lives in the base arena.
+  /// Grows the stride to at least \p words (at least doubling it).
   void grow_stride(std::size_t words);
 
   uint32_t num_inputs_ = 0;
   uint64_t num_patterns_ = 0;
-  std::size_t stride_ = 0;            // base words allocated per input
-  std::vector<uint64_t> bits_;        // flat input-major base arena
-  std::vector<std::vector<uint64_t>> tail_; // word-major appended words
+  std::size_t stride_ = 0;     // words allocated per input
+  std::vector<uint64_t> bits_; // flat input-major arena
 };
 
 } // namespace stps::sim

@@ -1,8 +1,8 @@
 /// \file simd.hpp
 /// \brief Runtime-dispatched SIMD word kernels over the flat arenas.
 ///
-/// The PR 1–4 data layout (node-major signature base, word-major tail
-/// blocks, input-major patterns) makes the simulation hot loops
+/// The flat arenas (node-major signatures, input-major patterns, the
+/// open word's one-word-per-node column) make the simulation hot loops
 /// straight-line loads/XOR/AND over contiguous `uint64_t` arrays, so
 /// vectorizing is a kernel layer, not a data-structure change.  Every
 /// kernel here has a portable scalar implementation and an explicit
@@ -55,7 +55,7 @@ void gather_normalized_keys(uint64_t* keys, const uint32_t* members,
                             uint32_t stride, const uint8_t* phase,
                             uint64_t word_mask);
 
-/// Whole-AIG word resimulation over a word-major block:
+/// Whole-AIG word resimulation over a column (one word per node id):
 ///   wb[n] = (wb[lit0[n] >> 1] ^ -(lit0[n] & 1)) &
 ///           (wb[lit1[n] >> 1] ^ -(lit1[n] & 1))
 /// for n in [first, size) ascending (complement bits expand to all-ones

@@ -23,8 +23,6 @@ uint64_t mix64(uint64_t x) noexcept
 
 /// FNV-1a over a signature, normalized by phase; the final word is
 /// restricted to its valid bits so zero padding is phase-neutral.
-/// Word-at-a-time access keeps this valid on stores with word-major
-/// tail blocks.
 uint64_t signature_key(const sim::signature_store& sig, net::node n,
                        bool phase, uint64_t last_word_mask)
 {
@@ -150,29 +148,15 @@ void equiv_classes::build(const net::aig_network& aig,
   group_of_.resize(count);
 
   // Group by hash of the normalized signature via the dense scratch
-  // table; a hash hit is verified word-by-word against the group's
-  // representative, and a mismatch keeps probing, so equal-hash but
-  // different-signature nodes end up in distinct groups.  At build time
-  // the store is freshly simulated — node-major, no tail words — so the
-  // compare runs the vectorized whole-row kernel over contiguous rows;
-  // the word-at-a-time path stays as the fallback for stores with tails.
-  const bool flat = sig.num_words() == sig.base_words();
+  // table; a hash hit is verified against the group's representative by
+  // the vectorized whole-row compare, and a mismatch keeps probing, so
+  // equal-hash but different-signature nodes end up in distinct groups.
   const auto equal_normalized = [&](net::node a, net::node b) {
     const uint64_t flip =
         (phase_[a] != phase_[b]) ? ~uint64_t{0} : uint64_t{0};
-    const std::size_t words = sig.num_words();
-    if (flat) {
-      return sim::simd::rows_equal_normalized(
-          sig.row(b).data(), sig.row(a).data(), flip, words, last_word_mask);
-    }
-    for (std::size_t i = 0; i < words; ++i) {
-      const uint64_t mask =
-          i + 1u == words ? last_word_mask : ~uint64_t{0};
-      if ((sig.word(a, i) & mask) != ((sig.word(b, i) ^ flip) & mask)) {
-        return false;
-      }
-    }
-    return true;
+    return sim::simd::rows_equal_normalized(sig.row(b).data(),
+                                            sig.row(a).data(), flip,
+                                            sig.num_words(), last_word_mask);
   };
 
   prepare_scratch(count);

@@ -12,38 +12,101 @@ namespace stps::sweep {
 
 namespace {
 
-/// Number of ones in a signature, respecting the pattern tail.
-/// Word-at-a-time access stays valid after witness words were appended
-/// to the store (word-major tails).
-uint64_t ones_count(const sim::signature_store& sig, net::node n)
-{
-  uint64_t count = 0;
-  for (std::size_t w = 0; w < sig.num_words(); ++w) {
-    count += std::popcount(sig.word(n, w));
-  }
-  return count;
-}
+/// FNV-1a over complement-normalized signature words.
+constexpr uint64_t fnv_basis = 1469598103934665603ull;
+constexpr uint64_t fnv_prime = 1099511628211ull;
 
-/// Complement-normalized signature hash (FNV-1a over the words, each
-/// flipped by the first pattern bit and masked to the valid tail):
-/// a gate and its inversion land in one group, exactly like the
-/// candidate equivalence classes they would later form.
-uint64_t signature_group_key(const sim::signature_store& sig, net::node n,
-                             uint64_t num_patterns)
+/// Every node's signature while the rounds run: the random base is
+/// simulated once, and each witness lands in a `sim::open_word` column.
+/// Just before a full open word is reused, it is folded into two
+/// per-node values — a running popcount and a running FNV-1a state of
+/// the words flipped by the node's first pattern bit — so the rounds
+/// read exact whole-signature counts and group keys from the folded
+/// values plus the masked column.
+class guided_signatures
 {
-  const std::size_t nw = sig.num_words();
-  const uint64_t flip = (sig.word(n, 0u) & 1u) != 0u ? ~uint64_t{0} : 0u;
-  uint64_t h = 1469598103934665603ull;
-  for (std::size_t w = 0; w < nw; ++w) {
-    uint64_t word = sig.word(n, w) ^ flip;
-    if (w + 1u == nw) {
-      word &= sim::tail_mask(num_patterns);
+public:
+  guided_signatures(const net::aig_network& aig,
+                    const sim::pattern_set& base, const sim::resim_plan& plan)
+      : open_{base, plan}, ones_(plan.size, 0u), hash_(plan.size, fnv_basis),
+        flip_(plan.size, 0u)
+  {
+    // Every base word but the last is closed; the column holds the last.
+    const sim::signature_store sig = sim::simulate_aig(aig, base);
+    closed_words_ = sig.num_words() != 0u ? sig.num_words() - 1u : 0u;
+    for (std::size_t n = 0; n < sig.size(); ++n) {
+      for (std::size_t w = 0; w < closed_words_; ++w) {
+        fold(n, sig.word(n, w), w == 0u);
+      }
     }
-    h ^= word;
-    h *= 1099511628211ull;
   }
-  return h;
-}
+
+  /// Appends one witness; a full open word is folded first.
+  void add_pattern(const std::vector<bool>& witness)
+  {
+    if (open_.full() && open_.num_patterns() != 0u) {
+      const std::span<const uint64_t> column = open_.column();
+      for (std::size_t n = 0; n < column.size(); ++n) {
+        fold(n, column[n], closed_words_ == 0u);
+      }
+      ++closed_words_;
+    }
+    open_.add_pattern(witness);
+  }
+
+  uint64_t num_patterns() const noexcept { return open_.num_patterns(); }
+
+  /// Number of ones in node \p n's signature.
+  uint64_t ones(net::node n) const noexcept
+  {
+    const uint64_t open_bits =
+        num_patterns() != 0u ? open_.column()[n] & open_.mask() : 0u;
+    return ones_[n] + std::popcount(open_bits);
+  }
+
+  /// Complement-normalized signature hash (FNV-1a over the words, each
+  /// flipped by the first pattern bit; needs a pattern): a gate and its
+  /// inversion land in one group, exactly like the candidate equivalence
+  /// classes they would later form.
+  uint64_t group_key(net::node n) const noexcept
+  {
+    const uint64_t word = open_.column()[n];
+    const uint64_t flip = closed_words_ != 0u ? flip_[n] : first_bit(word);
+    return (hash_[n] ^ ((word ^ flip) & open_.mask())) * fnv_prime;
+  }
+
+  /// Node \p n's value under the newest pattern (-1 if none).
+  int newest_bit(net::node n) const noexcept
+  {
+    if (n >= ones_.size() || num_patterns() == 0u) {
+      return -1;
+    }
+    const uint64_t bit = (num_patterns() - 1u) & 63u;
+    return static_cast<int>((open_.column()[n] >> bit) & 1u);
+  }
+
+private:
+  static uint64_t first_bit(uint64_t word) noexcept
+  {
+    return (word & 1u) != 0u ? ~uint64_t{0} : 0u;
+  }
+
+  /// Folds one full word of node \p n; \p first marks its word 0.
+  void fold(std::size_t n, uint64_t word, bool first) noexcept
+  {
+    if (first) {
+      flip_[n] = first_bit(word);
+    }
+    ones_[n] += std::popcount(word);
+    hash_[n] = (hash_[n] ^ (word ^ flip_[n])) * fnv_prime;
+  }
+
+  sim::open_word open_;
+  std::vector<uint64_t> ones_;  ///< popcount over the closed words
+  std::vector<uint64_t> hash_;  ///< FNV-1a state over the closed words
+  std::vector<uint64_t> flip_;  ///< first pattern bit as a word mask
+  std::size_t closed_words_ = 0;
+};
 
 /// The random base both guidance rounds start from.
 sim::pattern_set base_patterns(const net::aig_network& aig,
@@ -83,20 +146,21 @@ guided_pattern_result guided_rounds(const net::aig_network& aig,
     });
   }
 
-  // Witnesses are re-simulated *incrementally* (one appended word) the
-  // moment SAT hands them back, so every later candidate checks against
-  // up-to-date signatures.  Near-constant gates are strongly correlated
-  // — one witness typically toggles many of them at once — and with
-  // stale signatures each used to cost its own satisfiable SAT query.
+  // Witnesses are absorbed the moment SAT hands them back, so every
+  // later candidate checks against up-to-date signatures.  Near-constant
+  // gates are strongly correlated — one witness typically toggles many of
+  // them at once — and with stale signatures each used to cost its own
+  // satisfiable SAT query.
   auto t_sim = sweep_clock::now();
-  sim::signature_store sig = sim::simulate_aig(aig, result.patterns);
+  guided_signatures sig{aig, result.patterns, plan};
   result.sim_seconds += seconds_since(t_sim);
 
   // Signature-phase seeding for the guided queries themselves: every
-  // witness is absorbed with a whole-AIG last-word resimulation, so the
-  // newest pattern's bit is current for *every* node — one consistent
-  // assignment to start each query from.  Cleared before returning
-  // (`sig` dies with this call; the sweeper installs its own hints).
+  // witness is absorbed by a whole-AIG resimulation of the open word, so
+  // the newest pattern's bit is current for *every* node — one
+  // consistent assignment to start each query from.  Cleared before
+  // returning (`sig` dies with this call; the sweeper installs its own
+  // hints).
   struct hint_guard
   {
     sat::cnf_manager* cnf = nullptr;
@@ -108,20 +172,14 @@ guided_pattern_result guided_rounds(const net::aig_network& aig,
     }
   } clear_hints_on_exit{config.use_signature_phase ? &cnf : nullptr};
   if (config.use_signature_phase) {
-    cnf.set_phase_hints([&sig, &result](net::node n) -> int {
-      if (n >= sig.size() || sig.num_words() == 0u) {
-        return -1;
-      }
-      const uint64_t word = sig.word(n, sig.num_words() - 1u);
-      const uint64_t bit = (result.patterns.num_patterns() - 1u) & 63u;
-      return static_cast<int>((word >> bit) & 1u);
-    });
+    cnf.set_phase_hints(
+        [&sig](net::node n) -> int { return sig.newest_bit(n); });
   }
 
   const auto absorb_witness = [&](const std::vector<bool>& witness) {
     const auto t_ce = sweep_clock::now();
     result.patterns.add_pattern(witness);
-    sim::resimulate_aig_all_last_word(aig, result.patterns, sig, plan);
+    sig.add_pattern(witness);
     result.sim_seconds += seconds_since(t_ce);
     ++result.patterns_added;
   };
@@ -137,7 +195,7 @@ guided_pattern_result guided_rounds(const net::aig_network& aig,
       if (proven[n] || stopped()) {
         continue;
       }
-      const uint64_t ones = ones_count(sig, n);
+      const uint64_t ones = sig.ones(n);
       if (ones != 0u && ones != result.patterns.num_patterns()) {
         continue; // signature already toggles
       }
@@ -170,7 +228,7 @@ guided_pattern_result guided_rounds(const net::aig_network& aig,
   const auto near_constant = [&](net::node n, bool& toward_ones,
                                  uint64_t& ones) {
     const uint64_t total = result.patterns.num_patterns();
-    ones = ones_count(sig, n);
+    ones = sig.ones(n);
     const bool few_ones = ones != 0u && ones <= config.round2_ones_threshold;
     const bool few_zeros =
         ones != total && total - ones <= config.round2_ones_threshold;
@@ -206,7 +264,7 @@ guided_pattern_result guided_rounds(const net::aig_network& aig,
         continue;
       }
       const uint64_t minority = std::min(ones, total - ones);
-      const uint64_t key = signature_group_key(sig, n, total);
+      const uint64_t key = sig.group_key(n);
       const auto [it, inserted] = group_of_key.emplace(key, groups.size());
       if (inserted) {
         groups.push_back({minority, n, {n}});

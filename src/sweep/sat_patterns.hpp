@@ -21,10 +21,11 @@
 ///   one query per gate burned a satisfiable call per member of a group
 ///   that any single witness diversifies whole.
 ///
-/// Witnesses are absorbed by vectorized whole-AIG last-word
-/// resimulation (sim::resimulate_aig_all_last_word over one
-/// sim::resim_plan): the AIG does not change while the rounds run, so
-/// the plan taken at entry stays exact.
+/// The random base is simulated once; every witness is absorbed by a
+/// sim::open_word over one sim::resim_plan (the AIG does not change
+/// while the rounds run, so the plan taken at entry stays exact).  A
+/// full open word is folded into a per-node running popcount and group
+/// hash before the column is reused.
 ///
 /// **Sharded prologue** (`sharded_guided_patterns`), the STP sweeper's
 /// prologue at every shard count: gate i, counted in `foreach_gate`

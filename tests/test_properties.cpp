@@ -211,11 +211,11 @@ class OpenWordFuzz : public ::testing::TestWithParam<uint64_t>
 
 /// Property behind the sweepers' one-column counter-example state: once
 /// the classes have been refined with a word, nothing reads it again —
-/// the partition absorbed it.  Drives the same counter-example sequence
-/// through a `sim::open_word` column and a never-trimmed multi-word
-/// store: refining from either keeps the partitions identical after
-/// every pattern, and after every filled word both equal a fresh build
-/// over every word of the store.
+/// the partition absorbed it.  Drives a counter-example sequence through
+/// a `sim::open_word` column and compares against `simulate_aig` of the
+/// final pattern set, a never-trimmed multi-word store: refining from
+/// either keeps the partitions identical after every pattern, and after
+/// every filled word both equal a fresh build over every word so far.
 TEST_P(OpenWordFuzz, RefinementMatchesNeverTrimmedStore)
 {
   std::mt19937_64 rng{0xb0d9e7u + GetParam()};
@@ -227,12 +227,24 @@ TEST_P(OpenWordFuzz, RefinementMatchesNeverTrimmedStore)
                                          75u};
   auto patterns = sim::pattern_set::random(
       aig.num_pis(), initial_counts[GetParam()], GetParam());
-  sim::signature_store store = sim::simulate_aig(aig, patterns);
+  std::vector<std::vector<bool>> ces(200u);
+  sim::pattern_set final_patterns = patterns;
+  for (std::size_t step = 0; step < ces.size(); ++step) {
+    // Sparse flips like real counter-examples, every tenth one dense.
+    std::bernoulli_distribution flip{step % 10u == 9u ? 0.5 : 0.1};
+    ces[step].resize(aig.num_pis());
+    for (std::size_t i = 0; i < ces[step].size(); ++i) {
+      ces[step][i] = flip(rng);
+    }
+    final_patterns.add_pattern(ces[step]);
+  }
+  const sim::signature_store store = sim::simulate_aig(aig, final_patterns);
   const sim::resim_plan plan = sim::make_resim_plan(aig);
   sim::open_word open{patterns, plan};
 
   sweep::equiv_classes from_open;
-  from_open.build(aig, store, sim::tail_mask(patterns.num_patterns()));
+  from_open.build(aig, sim::simulate_aig(aig, patterns),
+                  sim::tail_mask(patterns.num_patterns()));
   sweep::equiv_classes from_store = from_open;
   // Class members are sorted, so the front one names the class.
   const auto lowest_member = [](const sweep::equiv_classes& classes,
@@ -244,16 +256,9 @@ TEST_P(OpenWordFuzz, RefinementMatchesNeverTrimmedStore)
 
   std::vector<uint64_t> store_column(aig.size());
   std::size_t splits = 0;
-  for (std::size_t step = 0; step < 200u; ++step) {
-    // Sparse flips like real counter-examples, every tenth one dense.
-    std::bernoulli_distribution flip{step % 10u == 9u ? 0.5 : 0.1};
-    std::vector<bool> ce(aig.num_pis());
-    for (std::size_t i = 0; i < ce.size(); ++i) {
-      ce[i] = flip(rng);
-    }
-    patterns.add_pattern(ce);
-    sim::resimulate_aig_all_last_word(aig, patterns, store);
-    open.add_pattern(ce);
+  for (std::size_t step = 0; step < ces.size(); ++step) {
+    patterns.add_pattern(ces[step]);
+    open.add_pattern(ces[step]);
 
     const std::size_t last = patterns.num_words() - 1u;
     for (net::node n = 0; n < aig.size(); ++n) {
@@ -273,7 +278,7 @@ TEST_P(OpenWordFuzz, RefinementMatchesNeverTrimmedStore)
       // The word is complete and the next pattern starts a fresh one:
       // the column forgets it, the partition must not.
       sweep::equiv_classes rebuilt;
-      rebuilt.build(aig, store, mask);
+      rebuilt.build(aig, sim::simulate_aig(aig, patterns), mask);
       for (net::node n = 0; n < aig.size(); ++n) {
         ASSERT_EQ(lowest_member(from_open, n), lowest_member(rebuilt, n))
             << "step " << step << " node " << n;

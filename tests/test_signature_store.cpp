@@ -48,23 +48,6 @@ TEST(SignatureStore, AssignAndFillRow)
                std::invalid_argument);
 }
 
-TEST(SignatureStore, AppendWordGrowsEveryRowZeroed)
-{
-  signature_store sig(6u, 1u);
-  for (std::size_t n = 0; n < sig.size(); ++n) {
-    sig.word(n, 0u) = n + 1u;
-  }
-  // Force several grows past the initial stride.
-  for (std::size_t extra = 0; extra < 10u; ++extra) {
-    sig.append_word();
-    EXPECT_EQ(sig.num_words(), extra + 2u);
-    for (std::size_t n = 0; n < sig.size(); ++n) {
-      EXPECT_EQ(sig.word(n, 0u), n + 1u) << "row survived grow " << extra;
-      EXPECT_EQ(sig.word(n, extra + 1u), 0u) << "fresh word zeroed";
-    }
-  }
-}
-
 TEST(SignatureStore, TailMaskContract)
 {
   EXPECT_EQ(sim::tail_mask(64u), ~uint64_t{0});
@@ -90,34 +73,6 @@ TEST(SignatureStore, MaskTailEnforcesCanonicalTail)
   full.fill_row(0u, ~uint64_t{0});
   full.mask_tail(64u);
   EXPECT_EQ(full.word(0u, 0u), ~uint64_t{0});
-}
-
-TEST(SignatureStore, TailWordsAreWordMajorAndMaskable)
-{
-  signature_store sig(4u, 2u);
-  EXPECT_EQ(sig.base_words(), 2u);
-  for (std::size_t n = 0; n < sig.size(); ++n) {
-    sig.word(n, 1u) = 0x100u + n;
-  }
-  sig.append_word(); // word 2 lives in a word-major tail block
-  EXPECT_EQ(sig.num_words(), 3u);
-  EXPECT_EQ(sig.base_words(), 2u);
-  for (std::size_t n = 0; n < sig.size(); ++n) {
-    EXPECT_EQ(sig.word(n, 2u), 0u);
-    sig.word(n, 2u) = ~uint64_t{0};
-  }
-  // The contiguous tail view aliases the same words.
-  const auto block = sig.tail_word(2u);
-  ASSERT_EQ(block.size(), sig.size());
-  EXPECT_EQ(block[3], ~uint64_t{0});
-  // mask_tail lands on the tail block when it holds the last word.
-  sig.mask_tail(130u); // 2 valid bits in word 2
-  for (std::size_t n = 0; n < sig.size(); ++n) {
-    EXPECT_EQ(sig.word(n, 2u), 0x3u);
-    EXPECT_EQ(sig.word(n, 1u), 0x100u + n) << "base words untouched";
-  }
-  // Row views dispatch across the base/tail boundary.
-  EXPECT_EQ(sig[1u], std::vector<uint64_t>({0u, 0x101u, 0x3u}));
 }
 
 TEST(SignatureStore, RowViewComparisons)

@@ -50,38 +50,20 @@ TEST(Patterns, AddPatternAppends)
   EXPECT_TRUE(p.bit(1, 1));
 }
 
-TEST(Patterns, InputBitsFailsLoudlyOnTailWords)
+TEST(Patterns, AppendsGrowTheArenaKeepingEarlierWords)
 {
-  // The contiguous base-arena view silently returned stale words for
-  // counter-example patterns in release builds; it must throw in every
-  // build type.
-  sim::pattern_set p = sim::pattern_set::random(3u, 128u, 9u);
-  EXPECT_EQ(p.input_bits(0u).size(), p.num_words());
-  while (p.num_words() <= p.base_words()) {
-    p.add_pattern({true, false, true}); // spill into a CE tail block
-  }
-  EXPECT_THROW(p.input_bits(0u), std::logic_error);
-  // input_word / copy_input_bits stay the supported accessors.
-  EXPECT_EQ(p.input_word(0u, p.num_words() - 1u) & 1u, 1u);
-}
-
-TEST(Patterns, TailBlocksAreWordMajorAndAbsoluteIndexed)
-{
-  // 100 base patterns (2 base words); appends spill into word-major
-  // tail blocks without repacking the base.
+  // 100 random patterns (2 words); 64 appends grow the input-major
+  // arena to a third word.
   auto p = sim::pattern_set::random(3u, 100u, 21u);
-  EXPECT_EQ(p.base_words(), 2u);
   const uint64_t w0 = p.input_word(1u, 0u);
   std::vector<bool> ones(3u, true);
   for (uint32_t i = 0; i < 64u; ++i) {
     p.add_pattern(ones);
   }
   EXPECT_EQ(p.num_patterns(), 164u);
-  EXPECT_EQ(p.num_words(), 3u);
-  EXPECT_EQ(p.base_words(), 2u);
-  EXPECT_EQ(p.input_word(1u, 0u), w0) << "base never repacked";
-  // Patterns 100..127 fill the rest of base word 1, 128..163 start tail
-  // word 2.
+  ASSERT_EQ(p.input_bits(0u).size(), 3u);
+  EXPECT_EQ(p.input_word(1u, 0u), w0) << "earlier words kept";
+  // Patterns 100..127 fill the rest of word 1, 128..163 start word 2.
   EXPECT_EQ(p.input_word(2u, 1u) >> 36u, (~uint64_t{0}) >> 36u);
   EXPECT_EQ(p.input_word(0u, 2u), (uint64_t{1} << 36u) - 1u);
   EXPECT_TRUE(p.bit(0u, 163u));
@@ -159,36 +141,16 @@ TEST(Simulate, KlutBitwiseMatchesAig)
   });
 }
 
-TEST(Simulate, IncrementalLastWordMatchesFullResim)
-{
-  const auto aig = stps::gen::make_random_logic({10u, 6u, 200u, 9u, 20u});
-  auto patterns = sim::pattern_set::random(10u, 64u, 10u);
-  auto sig = sim::simulate_aig(aig, patterns);
-
-  // Append 3 counter-example-style patterns and resim incrementally.
-  for (uint64_t i = 0; i < 3u; ++i) {
-    std::vector<bool> ce;
-    for (uint32_t j = 0; j < 10u; ++j) {
-      ce.push_back(((i + j) % 3u) == 0u);
-    }
-    patterns.add_pattern(ce);
-    sim::resimulate_aig_all_last_word(aig, patterns, sig);
-  }
-  const auto full = sim::simulate_aig(aig, patterns);
-  aig.foreach_gate([&](net::node n) { EXPECT_EQ(sig[n], full[n]); });
-}
-
 /// Appends 150 counter-example patterns to \p patterns one at a time —
 /// sparse flips like real CEs, every tenth one dense, crossing word
-/// boundaries — and after each one checks the open word that the
-/// plan-driven whole-AIG resimulation of \p aig wrote into \p sig, and
-/// the column of a `sim::open_word` fed the same patterns, against
+/// boundaries — and after each one checks the column of a
+/// `sim::open_word` over \p aig fed the same patterns against
 /// `simulate_aig` of \p reference on the final pattern set (bits beyond
 /// the patterns seen so far masked off).
-void expect_resim_tracks_simulation(const net::aig_network& aig,
-                                    const net::aig_network& reference,
-                                    sim::pattern_set patterns,
-                                    sim::signature_store sig, uint64_t seed)
+void expect_open_word_tracks_simulation(const net::aig_network& aig,
+                                        const net::aig_network& reference,
+                                        sim::pattern_set patterns,
+                                        uint64_t seed)
 {
   std::mt19937_64 rng{seed};
   std::vector<std::vector<bool>> ces;
@@ -220,15 +182,7 @@ void expect_resim_tracks_simulation(const net::aig_network& aig,
   expect_column(); // the initial patterns' last word
   for (const std::vector<bool>& ce : ces) {
     patterns.add_pattern(ce);
-    sim::resimulate_aig_all_last_word(aig, patterns, sig, plan);
     open.add_pattern(ce);
-    const std::size_t last = patterns.num_words() - 1u;
-    const uint64_t mask = sim::tail_mask(patterns.num_patterns());
-    for (net::node n = 0; n < aig.size(); ++n) {
-      ASSERT_EQ(sig.word(n, last) & mask, expected.word(n, last) & mask)
-          << "node " << n << " after " << patterns.num_patterns()
-          << " patterns";
-    }
     expect_column();
     if (::testing::Test::HasFatalFailure()) {
       return;
@@ -236,45 +190,29 @@ void expect_resim_tracks_simulation(const net::aig_network& aig,
   }
 }
 
-TEST(Resimulate, OpenWordInNodeMajorBaseMatchesSimulation)
+TEST(Resimulate, OpenWordFromPartialBaseWordMatchesSimulation)
 {
-  // Until the first 56 counter-examples fill it, the open word is the
-  // last word of the node-major base arena: the plan-driven call falls
-  // back to the scalar variant, then continues in word-major tails.
+  // The first 56 counter-examples fill the initial patterns' partial
+  // last word; the rest start fresh words.
   const auto aig = stps::gen::make_random_logic({14u, 10u, 600u, 5u, 25u});
   const auto patterns = sim::pattern_set::random(aig.num_pis(), 200u, 5u);
-  auto sig = sim::simulate_aig(aig, patterns);
-  ASSERT_EQ(sig.base_words(), patterns.num_words());
-  expect_resim_tracks_simulation(aig, aig, patterns, std::move(sig), 5u);
+  expect_open_word_tracks_simulation(aig, aig, patterns, 5u);
 }
 
-/// A word-major store whose words before the open one stay zero: the
-/// last-word recompute reads pattern words only.
-sim::signature_store open_word_store(std::size_t nodes,
-                                     const sim::pattern_set& patterns)
+TEST(Resimulate, OpenWordFromFullBaseWordMatchesSimulation)
 {
-  sim::signature_store sig(nodes, 0u);
-  for (uint64_t w = 0; w < patterns.num_patterns() / 64u; ++w) {
-    sig.append_word();
-  }
-  return sig;
-}
-
-TEST(Resimulate, OpenWordInWordMajorTailMatchesSimulation)
-{
-  // Every counter-example word is a word-major tail block (vectorized
-  // path), as for the guided prologue's witnesses.
+  // The initial patterns end on a word boundary: the first
+  // counter-example already starts a fresh word.
   const auto aig = stps::gen::make_random_logic({14u, 10u, 600u, 23u, 25u});
-  const auto patterns = sim::pattern_set::random(aig.num_pis(), 200u, 23u);
-  sim::signature_store sig = open_word_store(aig.size(), patterns);
-  expect_resim_tracks_simulation(aig, aig, patterns, std::move(sig), 23u);
+  const auto patterns = sim::pattern_set::random(aig.num_pis(), 192u, 23u);
+  expect_open_word_tracks_simulation(aig, aig, patterns, 23u);
 }
 
 TEST(Resimulate, GatesKilledBySubstitutionKeepTheirFunction)
 {
   // A fraig sweep kills gates through substitute_node; every node id,
-  // dead or alive, must still resimulate to its original function — in
-  // the store and in the sweepers' open-word column alike.
+  // dead or alive, must still resimulate to its original function in
+  // the sweepers' open-word column.
   const auto original = stps::gen::inject_redundancy(
       stps::gen::make_random_logic({14u, 10u, 600u, 91u, 25u}),
       {8u, 4u, 91u});
@@ -282,9 +220,7 @@ TEST(Resimulate, GatesKilledBySubstitutionKeepTheirFunction)
   const auto stats = sweep::fraig_sweep(swept, {256u, 1u, -1});
   ASSERT_GT(stats.merges, 0u) << "fixture kills no gate";
   const auto patterns = sim::pattern_set::random(swept.num_pis(), 200u, 91u);
-  sim::signature_store sig = open_word_store(swept.size(), patterns);
-  expect_resim_tracks_simulation(swept, original, patterns, std::move(sig),
-                                 91u);
+  expect_open_word_tracks_simulation(swept, original, patterns, 91u);
 }
 
 TEST(Simulate, InputCountMismatchThrows)

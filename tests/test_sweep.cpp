@@ -2,12 +2,15 @@
 #include "gen/benchmarks.hpp"
 #include "gen/random_logic.hpp"
 #include "gen/redundancy.hpp"
+#include "sim/bitwise_sim.hpp"
 #include "sweep/cec.hpp"
 #include "sweep/fraig.hpp"
 #include "sweep/sat_patterns.hpp"
 #include "sweep/stp_sweeper.hpp"
 
 #include <gtest/gtest.h>
+
+#include <bit>
 
 namespace {
 
@@ -39,6 +42,52 @@ TEST(GuidedPatterns, ProvenConstantsAreRealConstants)
   }
   EXPECT_EQ(result.patterns.num_patterns(),
             config.base_patterns + result.patterns_added);
+}
+
+TEST(GuidedPatterns, FoldAcrossWordBoundariesKeepsSignaturesExact)
+{
+  // Witnesses fill the open word and start fresh ones; each full word is
+  // folded into per-node running values before the column is reused.  A
+  // fold that counted a word twice would make a constant-looking gate
+  // look toggled, so round 1 would skip it.  With an unlimited budget
+  // round 1 leaves every gate either proven constant or toggling.  The
+  // base sizes leave the last base word partial, full and partial.
+  for (const uint64_t base : {100u, 128u, 200u}) {
+    for (const uint64_t seed : {3u, 4u}) {
+      const auto aig = redundant_test_circuit(seed, 1500u);
+      sat::cnf_manager cnf{aig};
+      sweep::guided_pattern_config config;
+      config.base_patterns = base;
+      config.seed = seed;
+      config.conflict_budget = -1;
+      config.round2_ones_threshold = 32u; // more witnesses
+      const auto result = sweep::sat_guided_patterns(aig, cnf, config);
+      const uint64_t total = result.patterns.num_patterns();
+      ASSERT_EQ(total, base + result.patterns_added);
+      // The last witness lies at least two words past the last base word.
+      ASSERT_GE((total - 1u) / 64u, (base - 1u) / 64u + 2u)
+          << "base " << base << " seed " << seed << ": only "
+          << result.patterns_added << " witnesses";
+
+      std::vector<bool> proven(aig.size(), false);
+      for (const auto& [n, value] : result.proven_constants) {
+        proven[n] = true;
+      }
+      const auto sig = sim::simulate_aig(aig, result.patterns);
+      aig.foreach_gate([&](net::node n) {
+        if (proven[n]) {
+          return;
+        }
+        uint64_t ones = 0;
+        for (std::size_t w = 0; w < sig.num_words(); ++w) {
+          ones += std::popcount(sig.word(n, w));
+        }
+        EXPECT_TRUE(ones != 0u && ones != total)
+            << "base " << base << " seed " << seed << ": gate " << n
+            << " never toggles";
+      });
+    }
+  }
 }
 
 TEST(Fraig, SweepsRedundantCircuitSoundly)
