@@ -14,6 +14,10 @@
 /// override with --patterns N.  Expected shape: x ≈ 1 on TA, x ≈ 4-10 on
 /// TL (paper: geomean 7.18×).
 ///
+/// Every STP and k-LUT result is checked before it is reported: its PO
+/// signatures must equal those of the bitwise AIG baseline, or the bench
+/// prints the mismatch and exits 1.
+///
 /// `--json <path>` additionally writes per-benchmark gate counts and the
 /// four simulation times as machine-readable JSON (perf-trajectory
 /// convention; absolute seconds are machine-specific, compare ratios).
@@ -33,11 +37,44 @@ namespace {
 
 using clock_type = std::chrono::steady_clock;
 
-double time_call(const std::function<void()>& fn)
+/// Times one simulator call.  The previous result in \p out is freed
+/// before the clock starts, and the new one is kept for checking.
+template <class Simulate>
+double time_call(stps::sim::signature_store& out, Simulate&& simulate)
 {
+  out = {};
   const auto start = clock_type::now();
-  fn();
+  out = simulate();
   return std::chrono::duration<double>(clock_type::now() - start).count();
+}
+
+/// PO signatures of \p aig, edge complements applied, tail bits cleared.
+std::vector<uint64_t> aig_po_words(const stps::net::aig_network& aig,
+                                   const stps::sim::signature_store& sig,
+                                   uint64_t num_patterns)
+{
+  const uint64_t mask = stps::sim::tail_mask(num_patterns);
+  std::vector<uint64_t> out;
+  aig.foreach_po([&](stps::net::signal f, uint32_t) {
+    const uint64_t flip = f.is_complemented() ? ~uint64_t{0} : 0u;
+    for (std::size_t w = 0; w < sig.num_words(); ++w) {
+      const uint64_t word = sig.word(f.get_node(), w) ^ flip;
+      out.push_back(w + 1u == sig.num_words() ? word & mask : word);
+    }
+  });
+  return out;
+}
+
+/// PO signatures of \p klut (its rows already have canonical tails).
+std::vector<uint64_t> klut_po_words(const stps::net::klut_network& klut,
+                                    const stps::sim::signature_store& sig)
+{
+  std::vector<uint64_t> out;
+  for (uint32_t i = 0; i < klut.num_pos(); ++i) {
+    const auto words = sig.row(klut.po_at(i));
+    out.insert(out.end(), words.begin(), words.end());
+  }
+  return out;
 }
 
 struct row
@@ -82,22 +119,40 @@ int main(int argc, char** argv)
 
   std::vector<row> rows;
   const core::stp_simulator stp_sim;
+  uint32_t mismatches = 0;
   for (const auto& name : gen::epfl_names()) {
     const net::aig_network aig = gen::make_epfl(name);
     const cut::lut_map_result mapped = cut::lut_map(aig, 6u);
     const sim::pattern_set patterns =
         sim::pattern_set::random(aig.num_pis(), num_patterns, 0xEDF1u);
+    const auto check = [&](bool same, const char* simulator) {
+      if (!same) {
+        ++mismatches;
+        std::fprintf(stderr,
+                     "%s: %s PO signatures differ from simulate_aig\n",
+                     name.c_str(), simulator);
+      }
+    };
 
     row r;
     r.name = name;
     r.gates = aig.num_gates();
     r.luts = mapped.klut.num_gates();
-    r.ta_base = time_call([&] { sim::simulate_aig(aig, patterns); });
-    r.ta_stp = time_call([&] { stp_sim.simulate_aig(aig, patterns); });
-    r.tl_base =
-        time_call([&] { sim::simulate_klut_bitwise(mapped.klut, patterns); });
-    r.tl_stp =
-        time_call([&] { stp_sim.simulate_all(mapped.klut, patterns); });
+    sim::signature_store sig;
+    r.ta_base =
+        time_call(sig, [&] { return sim::simulate_aig(aig, patterns); });
+    const std::vector<uint64_t> reference =
+        aig_po_words(aig, sig, num_patterns);
+    r.ta_stp =
+        time_call(sig, [&] { return stp_sim.simulate_aig(aig, patterns); });
+    check(aig_po_words(aig, sig, num_patterns) == reference, "STP AIG");
+    r.tl_base = time_call(sig, [&] {
+      return sim::simulate_klut_bitwise(mapped.klut, patterns);
+    });
+    check(klut_po_words(mapped.klut, sig) == reference, "bitwise k-LUT");
+    r.tl_stp = time_call(
+        sig, [&] { return stp_sim.simulate_all(mapped.klut, patterns); });
+    check(klut_po_words(mapped.klut, sig) == reference, "STP k-LUT");
     rows.push_back(r);
     std::printf("%-11s | %9.3f %9.3f %6.2f | %9.3f %9.3f %6.2f\n",
                 name.c_str(), r.ta_base, r.ta_stp, r.ta_base / r.ta_stp,
@@ -122,6 +177,12 @@ int main(int argc, char** argv)
               geomean(tl_x));
   std::printf("\npaper reference: TA improvement 0.99x, TL improvement "
               "7.18x (max 22.04x)\n");
+  if (mismatches != 0u) {
+    std::fprintf(stderr, "table1_simulation: %u simulator result(s) differ "
+                         "from simulate_aig\n",
+                 mismatches);
+    return 1;
+  }
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

@@ -7,19 +7,26 @@
 /// block with every factor.  Lifting that product to 64 simulation
 /// patterns at once, each halving step becomes one word multiplex
 ///
-///     block_i = (x & block_{i+2^{j}}) | (~x & block_i),
+///     block_i = (x & block_{i+2^{j}}) | (~x & block_i).
 ///
-/// so a k-LUT costs ~2^k word operations for 64 patterns — instead of the
-/// per-pattern bit extraction and index assembly of conventional k-LUT
-/// simulators (src/sim/bitwise_sim.hpp).  `stp_evaluate_words` is this
-/// matrix pass; `stp_evaluate_single` is the literal one-pattern STP
-/// product, and tests pin both to the dense-matrix algebra in src/stp.
+/// `stp_evaluate_rows` is this matrix pass over a whole gate: it turns the
+/// 2^k table bits into all-ones/all-zeros word masks once per gate, then
+/// runs the halvings over blocks of 8 signature words at a time (a scalar
+/// tail takes the rest), so a k-LUT costs ~2^k word multiplexes per word —
+/// instead of the per-pattern bit extraction and index assembly of
+/// conventional k-LUT simulators (src/sim/bitwise_sim.hpp).  The first
+/// halving selects straight from the masks; every later one is an 8-wide
+/// multiplex the compiler vectorises.  `stp_evaluate_word` is its
+/// one-word case, and `stp_evaluate_single` is the literal one-pattern
+/// STP product; tests pin all three to each other and to the
+/// dense-matrix algebra in src/stp.
 #pragma once
 
 #include "tt/truth_table.hpp"
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace stps::core {
 
@@ -35,9 +42,17 @@ private:
   std::vector<uint64_t> blocks_;
 };
 
-/// Evaluates \p table word-parallel: `inputs[i]` is the signature word of
-/// fanin i (i = table variable i, LSB-first); returns the output word.
-/// \p scratch must be reserved for at least `table.num_vars()` variables.
+/// Evaluates \p table over \p num_words signature words: `inputs[i]`
+/// points at the words of fanin i (i = table variable i, LSB-first) and
+/// the output words go to \p out.  \p scratch must be reserved for at
+/// least `table.num_vars()` variables.
+void stp_evaluate_rows(const tt::truth_table& table,
+                       std::span<const uint64_t* const> inputs,
+                       uint64_t* out, std::size_t num_words,
+                       stp_scratch& scratch);
+
+/// One-word case of `stp_evaluate_rows`: `inputs[i]` is the signature
+/// word of fanin i; returns the output word.
 uint64_t stp_evaluate_word(const tt::truth_table& table,
                            std::span<const uint64_t> inputs,
                            stp_scratch& scratch);

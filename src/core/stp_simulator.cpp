@@ -10,6 +10,20 @@ namespace {
 
 using knode = net::klut_network::node;
 
+/// Fills gate \p n's row of \p sig from its fanins' rows by one STP
+/// matrix pass over every word; \p rows is reused fanin-pointer space.
+void evaluate_gate(const net::klut_network& klut, knode n,
+                   sim::signature_store& sig,
+                   std::vector<const uint64_t*>& rows, stp_scratch& scratch)
+{
+  rows.clear();
+  for (const knode f : klut.fanins(n)) {
+    rows.push_back(sig.row(f).data());
+  }
+  stp_evaluate_rows(klut.table(n), rows, sig.row(n).data(), sig.num_words(),
+                    scratch);
+}
+
 } // namespace
 
 uint32_t stp_simulator::leaf_limit(uint64_t num_patterns) const
@@ -40,25 +54,9 @@ sim::signature_store stp_simulator::simulate_all(
 
   stp_scratch scratch;
   scratch.reserve(klut.max_fanin_size());
-  std::vector<uint64_t> ins;
   std::vector<const uint64_t*> rows;
-  klut.foreach_gate([&](knode n) {
-    const auto& fis = klut.fanins(n);
-    const auto& table = klut.table(n);
-    uint64_t* out = sig.row(n).data();
-    const std::size_t k = fis.size();
-    ins.resize(k);
-    rows.resize(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      rows[i] = sig.row(fis[i]).data();
-    }
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::size_t i = 0; i < k; ++i) {
-        ins[i] = rows[i][w];
-      }
-      out[w] = stp_evaluate_word(table, ins, scratch);
-    }
-  });
+  klut.foreach_gate(
+      [&](knode n) { evaluate_gate(klut, n, sig, rows, scratch); });
   sig.mask_tail(patterns.num_patterns());
   return sig;
 }
@@ -105,22 +103,12 @@ stp_simulator::simulate_specified(const net::klut_network& klut,
 
   stp_scratch scratch;
   scratch.reserve(collapsed.net.max_fanin_size());
-  std::vector<uint64_t> ins;
+  std::vector<const uint64_t*> rows;
   std::size_t simulated = 0;
   collapsed.net.foreach_gate([&](knode n) {
-    if (!needed[n]) {
-      return;
-    }
-    ++simulated;
-    const auto& fis = collapsed.net.fanins(n);
-    const auto& table = collapsed.net.table(n);
-    uint64_t* out = sig.row(n).data();
-    ins.resize(fis.size());
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::size_t i = 0; i < fis.size(); ++i) {
-        ins[i] = sig.word(fis[i], w);
-      }
-      out[w] = stp_evaluate_word(table, ins, scratch);
+    if (needed[n]) {
+      ++simulated;
+      evaluate_gate(collapsed.net, n, sig, rows, scratch);
     }
   });
 

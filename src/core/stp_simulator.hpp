@@ -4,14 +4,16 @@
 /// Two modes, as in the paper:
 ///
 /// * **all nodes** (`m == a`): visit every gate in topological order and
-///   compute its output by the STP matrix pass (`stp_evaluate_word`).
+///   compute its whole signature row by one STP matrix pass
+///   (`stp_evaluate_rows`: 2^k table masks once per gate, then ~2^k word
+///   multiplexes per word, in blocks of 8 words).
 /// * **specified nodes** (`m == s`): only signatures of a target set are
 ///   wanted.  The simulator derives the leaf limit from the pattern count
 ///   (`limit = log2(n)`, Alg. 1 line 4 — so that a cut's exhaustive truth
 ///   table is never wider than the pattern set it replaces), collapses the
 ///   network into tree cuts with the targets as boundaries (§III-B),
 ///   computes every cut's truth table by STP composition, and simulates
-///   only the cut roots in the targets' cones.
+///   only the cut roots in the targets' cones, by the same kernel.
 ///
 /// `simulate_aig` runs the same matrix pass over an AIG (each AND with
 /// edge complements is a 2-input LUT) — the `TA` column of Table I.

@@ -40,6 +40,36 @@ TEST(StpSimulator, AigMatchesBitwiseBaseline)
   });
 }
 
+/// 709 patterns are 12 words: one full 8-word block, a 4-word scalar
+/// tail, and a partial last word.
+TEST(StpSimulator, PartialBlockTailMatchesBitwiseBaseline)
+{
+  const auto aig = gen::make_random_logic({14u, 9u, 500u, 61u, 25u});
+  const auto mapped = cut::lut_map(aig, 6u);
+  const auto patterns = sim::pattern_set::random(aig.num_pis(), 709u, 7u);
+  ASSERT_EQ(patterns.num_words(), 12u);
+
+  const core::stp_simulator simulator;
+  const auto full = sim::simulate_klut_bitwise(mapped.klut, patterns);
+  const auto sig_stp = simulator.simulate_all(mapped.klut, patterns);
+  std::vector<knode> targets;
+  mapped.klut.foreach_gate([&](knode n) {
+    EXPECT_EQ(sig_stp[n], full[n]) << "node " << n;
+    if (n % 5u == 0u) {
+      targets.push_back(n);
+    }
+  });
+  ASSERT_FALSE(targets.empty());
+
+  core::stp_sim_stats stats;
+  const auto specified =
+      simulator.simulate_specified(mapped.klut, targets, patterns, &stats);
+  EXPECT_EQ(stats.leaf_limit, 9u);
+  for (const knode t : targets) {
+    EXPECT_EQ(full[t], specified.at(t)) << "target " << t;
+  }
+}
+
 class SpecifiedSweep : public ::testing::TestWithParam<uint32_t>
 {
 };
