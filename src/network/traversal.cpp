@@ -140,6 +140,10 @@ bool bounded_support(const aig_network& aig, std::span<const node> roots,
       seen[r] = true;
       if (aig.is_pi(r)) {
         out.push_back(r);
+        if (out.size() > max_size) {
+          out.clear();
+          return false;
+        }
       } else if (aig.is_and(r)) {
         stack.push_back(r);
       }

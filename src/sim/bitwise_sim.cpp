@@ -1,7 +1,5 @@
 #include "sim/bitwise_sim.hpp"
 
-#include "sim/simd.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -28,7 +26,9 @@ signature_store simulate_aig(const net::aig_network& aig,
     uint64_t* out = sig.row(n).data();
     const uint64_t ca = a.is_complemented() ? ~uint64_t{0} : 0u;
     const uint64_t cb = b.is_complemented() ? ~uint64_t{0} : 0u;
-    simd::and_words(out, sa, ca, sb, cb, words);
+    for (std::size_t i = 0; i < words; ++i) {
+      out[i] = (sa[i] ^ ca) & (sb[i] ^ cb);
+    }
   });
   sig.mask_tail(patterns.num_patterns());
   return sig;
@@ -80,32 +80,11 @@ resim_plan make_resim_plan(const net::aig_network& aig)
   plan.first = 1u + aig.num_pis();
   plan.lit0.assign(plan.size, 0u);
   plan.lit1.assign(plan.size, 0u);
-  const uint32_t blocks =
-      plan.size > plan.first ? (plan.size - plan.first) / 4u : 0u;
-  plan.safe4.assign(blocks / 64u + 1u, 0u);
-  // Gather indices are 32-bit; ids beyond 2^31 would wrap, so such
-  // networks simply get an all-unsafe (scalar) bitmap.
-  const bool gather_safe = plan.size < (uint32_t{1} << 31u);
   for (uint32_t n = plan.first; n < plan.size; ++n) {
     const net::signal a = aig.fanin0(n);
     const net::signal b = aig.fanin1(n);
     plan.lit0[n] = (a.get_node() << 1u) | (a.is_complemented() ? 1u : 0u);
     plan.lit1[n] = (b.get_node() << 1u) | (b.is_complemented() ? 1u : 0u);
-  }
-  if (gather_safe) {
-    for (uint32_t bk = 0; bk < blocks; ++bk) {
-      const uint32_t n0 = plan.first + 4u * bk;
-      bool safe = true;
-      for (uint32_t n = n0; n < n0 + 4u; ++n) {
-        if ((plan.lit0[n] >> 1u) >= n0 || (plan.lit1[n] >> 1u) >= n0) {
-          safe = false;
-          break;
-        }
-      }
-      if (safe) {
-        plan.safe4[bk >> 6u] |= uint64_t{1} << (bk & 63u);
-      }
-    }
   }
   return plan;
 }
@@ -147,8 +126,16 @@ void open_word::add_pattern(const std::vector<bool>& assignment)
 
 void open_word::resimulate()
 {
-  simd::resim_words(column_.data(), plan_->lit0.data(), plan_->lit1.data(),
-                    plan_->first, plan_->size, plan_->safe4.data());
+  // Complement bits expand to all-ones masks; id order is topological.
+  uint64_t* const wb = column_.data();
+  const uint32_t* const lit0 = plan_->lit0.data();
+  const uint32_t* const lit1 = plan_->lit1.data();
+  for (uint32_t n = plan_->first; n < plan_->size; ++n) {
+    const uint32_t l0 = lit0[n];
+    const uint32_t l1 = lit1[n];
+    wb[n] = (wb[l0 >> 1u] ^ (uint64_t{0} - (l0 & 1u))) &
+            (wb[l1 >> 1u] ^ (uint64_t{0} - (l1 & 1u)));
+  }
 }
 
 bool evaluate_aig_node(const net::aig_network& aig, net::node n,

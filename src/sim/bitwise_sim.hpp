@@ -31,22 +31,18 @@ signature_store simulate_aig(const net::aig_network& aig,
 signature_store simulate_klut_bitwise(const net::klut_network& klut,
                                       const pattern_set& patterns);
 
-/// Precomputed fanin-literal arrays + dependency-safety bitmap feeding
-/// the vectorized whole-AIG resimulation kernel (sim/simd.hpp).  Built
-/// once per sweep from a snapshot of every node's fanin
-/// literals; the snapshot stays valid across sweeping's substitutions
-/// because they rewire fanins to *function-identical* signals (proven
-/// equivalences), so evaluating the snapshotted literals produces
-/// byte-identical words to evaluating the current ones.  `safe4` marks
-/// the 4-blocks (counted from `first`) whose eight fanin ids all
-/// precede the block, i.e. blocks free of intra-block dependencies.
+/// Precomputed fanin-literal arrays feeding the whole-AIG resimulation
+/// loop of `open_word`.  Built once per sweep from a snapshot of every
+/// node's fanin literals; the snapshot stays valid across sweeping's
+/// substitutions because they rewire fanins to *function-identical*
+/// signals (proven equivalences), so evaluating the snapshotted literals
+/// produces byte-identical words to evaluating the current ones.
 struct resim_plan
 {
   std::vector<uint32_t> lit0; ///< fanin0 literal (2·node+compl), by id
   std::vector<uint32_t> lit1; ///< fanin1 literal, by id
-  std::vector<uint64_t> safe4; ///< 4-block dependency-safety bitmap
-  uint32_t first = 0;          ///< first gate id (1 + num_pis)
-  uint32_t size = 0;           ///< aig.size() at snapshot time
+  uint32_t first = 0;         ///< first gate id (1 + num_pis)
+  uint32_t size = 0;          ///< aig.size() at snapshot time
 };
 
 /// Snapshots \p aig into a resimulation plan.  Every node id is
@@ -60,7 +56,7 @@ resim_plan make_resim_plan(const net::aig_network& aig);
 /// (§IV-A) and the sweepers' counter-examples (Alg. 2 lines 26-28): the
 /// open pattern word as one *column* — node id n's word at index n.  The
 /// PI bits live in the PI rows (ids 1..num_pis), so a pattern sets one
-/// bit per input there and `simd::resim_words` recomputes every gate row
+/// bit per input there and one id-order pass recomputes every gate row
 /// through the resim_plan (dead gates included, same contract).  Classes
 /// refine straight from the column and the prologue folds a full word
 /// into per-node running values, so nobody reads a full word again: once

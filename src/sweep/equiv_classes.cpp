@@ -1,7 +1,5 @@
 #include "sweep/equiv_classes.hpp"
 
-#include "sim/simd.hpp"
-
 #include <algorithm>
 #include <stdexcept>
 
@@ -149,14 +147,22 @@ void equiv_classes::build(const net::aig_network& aig,
 
   // Group by hash of the normalized signature via the dense scratch
   // table; a hash hit is verified against the group's representative by
-  // the vectorized whole-row compare, and a mismatch keeps probing, so
-  // equal-hash but different-signature nodes end up in distinct groups.
+  // a whole-row compare (final word masked), and a mismatch keeps
+  // probing, so equal-hash but different-signature nodes end up in
+  // distinct groups.
+  const std::size_t last = sig.num_words() - 1u;
   const auto equal_normalized = [&](net::node a, net::node b) {
     const uint64_t flip =
         (phase_[a] != phase_[b]) ? ~uint64_t{0} : uint64_t{0};
-    return sim::simd::rows_equal_normalized(sig.row(b).data(),
-                                            sig.row(a).data(), flip,
-                                            sig.num_words(), last_word_mask);
+    const uint64_t* ra = sig.row(a).data();
+    const uint64_t* rb = sig.row(b).data();
+    for (std::size_t i = 0; i < last; ++i) {
+      if ((rb[i] ^ flip) != ra[i]) {
+        return false;
+      }
+    }
+    return ((rb[last] ^ flip) & last_word_mask) ==
+           (ra[last] & last_word_mask);
   };
 
   prepare_scratch(count);
@@ -243,20 +249,12 @@ std::size_t equiv_classes::refine_class_with_word(
     return 0;
   }
   // Partition members by their normalized word value — allocation-free
-  // through the dense scratch core.  The keys come from the vectorized
-  // gather at stride 1, whose 32-bit indices cover every node id below
-  // 2^31; larger columns take the scalar loop.
+  // through the dense scratch core.
   keys_.resize(count);
   group_of_.resize(count);
-  if (column.size() <= (std::size_t{1} << 31u)) {
-    sim::simd::gather_normalized_keys(keys_.data(), members.data(), count,
-                                      column.data(), 1u, phase_.data(),
-                                      word_mask);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      const net::node n = members[i];
-      keys_[i] = (column[n] ^ (phase_[n] ? ~uint64_t{0} : 0u)) & word_mask;
-    }
+  for (std::size_t i = 0; i < count; ++i) {
+    const net::node n = members[i];
+    keys_[i] = (column[n] ^ (phase_[n] ? ~uint64_t{0} : 0u)) & word_mask;
   }
   const uint32_t groups = partition_by_scratch_keys(count);
   if (groups == 1u) {

@@ -290,7 +290,7 @@ private:
   // window avoids is worth far more than the window pass costs.
   bool maybe_resolve(uint32_t c)
   {
-    if (!params_.use_window_resolution || c == equiv_classes::no_class) {
+    if (c == equiv_classes::no_class) {
       return false;
     }
     const auto& members = classes_.members(c);

@@ -24,7 +24,7 @@
 /// 5. **Counter-example simulation by whole-AIG resimulation**: the
 ///    paper re-simulates a CE on a k-LUT view collapsed with tree cuts
 ///    (§III-B).  Here each CE recomputes the open word for every node in
-///    one vectorized pass over a single column (sim::open_word), as
+///    one id-order pass over a single column (sim::open_word), as
 ///    ABC's fraig does: the collapsed view gave identical results
 ///    without saving measurable simulation time (bench/README.md).  The
 ///    STP k-LUT simulator does the initial simulation.
@@ -68,7 +68,6 @@ struct stp_sweep_params
 {
   guided_pattern_config guided{};  ///< initial pattern generation
   bool use_guided_patterns = true; ///< ablation B: false = random only
-  bool use_window_resolution = true; ///< ablation: exhaustive windows
 
   /// Ablation: false tears the SAT solver down before *every* query, so
   /// each query re-encodes its whole union cone from scratch — the
@@ -183,7 +182,8 @@ struct stp_sweep_params
   /// defaults; the 19-leaf tier exists for the --scale 4 workloads).
   /// Window resolution is exact, so the limit changes which merges
   /// avoid SAT, never the result.  `window_scale_gates = 0` disables
-  /// scaling (the flat ablation baseline).
+  /// scaling (the flat ablation baseline); with `window_max_support = 0`
+  /// as well, no class fits a window and every candidate goes to SAT.
   uint32_t window_scale_gates = 30'000;
   uint32_t window_max_support_scaled = 19;
 

@@ -267,9 +267,11 @@ TEST(Differential, CounterExamplesCrossWordBoundaries)
   sweep::stp_sweep_params params;
   params.guided.base_patterns = 128u;
   params.use_guided_patterns = false; // keep signatures noisy: more CEs
-  params.use_window_resolution = false;
+  params.window_max_support = 0u; // a zero-leaf window fits no class
+  params.window_scale_gates = 0u;
   const sweep::sweep_stats s = sweep::stp_sweep(aig, params);
   ASSERT_GT(s.ce_patterns, 128u) << "fixture no longer produces enough CEs";
+  EXPECT_EQ(s.window_merges, 0u);
   EXPECT_EQ(s.sat_shards, 1u);
   EXPECT_EQ(s.store_peak_bytes, original.size() * sizeof(uint64_t));
   EXPECT_TRUE(sweep::check_equivalence(original, aig).equivalent);

@@ -57,6 +57,35 @@ TEST(EquivClasses, GroupsEqualAndComplementSignatures)
   EXPECT_TRUE(classes.complemented(n1, n3));
   // PIs with unique signatures are not in any class.
   EXPECT_EQ(classes.class_of(a.get_node()), equiv_classes::no_class);
+
+  // Three words, 8 valid bits in the last: bits past the mask never
+  // split a class, a difference inside it (or in a full word) does.
+  const uint64_t last_mask = 0xffu;
+  const auto build_masked = [&](uint64_t n2_full, uint64_t n2_last) {
+    sim::signature_store wide(aig.size(), 3u);
+    const auto set_row = [&](net::node n, uint64_t full, uint64_t last) {
+      wide.word(n, 0u) = full;
+      wide.word(n, 1u) = full;
+      wide.word(n, 2u) = last;
+    };
+    set_row(a.get_node(), 0x0fu, 0x0fu);
+    set_row(b.get_node(), 0x33u, 0x33u);
+    set_row(n1, 0x5au, 0x5au);
+    set_row(n2, n2_full, n2_last);
+    set_row(n3, ~uint64_t{0x5au}, ~uint64_t{0x5au} ^ (uint64_t{0x3} << 40u));
+    classes.build(aig, wide, last_mask);
+  };
+  build_masked(0x5au, 0x5au | (uint64_t{1} << 63u));
+  ASSERT_NE(classes.class_of(n1), equiv_classes::no_class);
+  EXPECT_EQ(classes.class_of(n1), classes.class_of(n2));
+  EXPECT_EQ(classes.class_of(n1), classes.class_of(n3));
+  EXPECT_TRUE(classes.complemented(n1, n3));
+  build_masked(0x5au, 0x5au ^ 0x80u);
+  EXPECT_NE(classes.class_of(n1), classes.class_of(n2));
+  EXPECT_EQ(classes.class_of(n1), classes.class_of(n3));
+  build_masked(0x5au ^ (uint64_t{1} << 63u), 0x5au);
+  EXPECT_NE(classes.class_of(n1), classes.class_of(n2));
+  EXPECT_EQ(classes.class_of(n1), classes.class_of(n3));
 }
 
 TEST(EquivClasses, ConstantClassContainsNodeZero)

@@ -141,12 +141,15 @@ TEST(FaultInjection, ForcedUnknownSweepStaysSound)
     const net::aig_network original = aig;
     sweep::stp_sweep_params params;
     params.guided.base_patterns = 256u;
-    // Windows resolve small classes without SAT; turn them off so the
-    // pairwise candidates actually reach the faulted query path.
-    params.use_window_resolution = false;
+    // Windows resolve small classes without SAT; a zero-leaf window
+    // fits no class, so the pairwise candidates actually reach the
+    // faulted query path.
+    params.window_max_support = 0u;
+    params.window_scale_gates = 0u;
     params.faults.unknown_every = every;
     const auto stats = sweep::stp_sweep(aig, params);
     EXPECT_EQ(stats.outcome, sweep::sweep_outcome::complete);
+    EXPECT_EQ(stats.window_merges, 0u);
     if (every == 1u) {
       // Every equivalence query was refused: each surviving candidate
       // was marked unDET, none merged by SAT.

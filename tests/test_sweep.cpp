@@ -168,8 +168,14 @@ TEST(StpSweep, AblationFlagsStillSound)
     sweep::stp_sweep_params params;
     params.guided.base_patterns = 256u;
     params.use_guided_patterns = variant != 0;
-    params.use_window_resolution = variant != 1;
-    sweep::stp_sweep(aig, params);
+    if (variant == 1) { // no class fits in zero leaves: windows off
+      params.window_max_support = 0u;
+      params.window_scale_gates = 0u;
+    }
+    const auto stats = sweep::stp_sweep(aig, params);
+    if (variant == 1) {
+      EXPECT_EQ(stats.window_merges, 0u);
+    }
     const auto cec = sweep::check_equivalence(original, aig);
     EXPECT_TRUE(cec.equivalent) << "variant " << variant;
   }
@@ -184,9 +190,10 @@ TEST(StpSweep, TinyConflictBudgetMarksDontTouch)
   params.guided.base_patterns = 128u;
   params.guided.conflict_budget = 1;
   params.conflict_budget = 1; // almost everything times out
-  params.use_window_resolution = false;
+  params.window_max_support = 0u; // windows off: candidates reach SAT
+  params.window_scale_gates = 0u;
   const auto stats = sweep::stp_sweep(aig, params);
-  (void)stats;
+  EXPECT_EQ(stats.window_merges, 0u);
   // Soundness is non-negotiable even when everything is unDET.
   const auto cec = sweep::check_equivalence(original, aig);
   EXPECT_TRUE(cec.equivalent);

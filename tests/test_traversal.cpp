@@ -117,4 +117,20 @@ TEST(Traversal, BoundedSupportAbandonsLargeCones)
   EXPECT_EQ(out, support(aig, deep));
 }
 
+TEST(Traversal, BoundedSupportBoundsPrimaryInputRoots)
+{
+  aig_network aig;
+  std::vector<node> pis;
+  for (int i = 0; i < 5; ++i) {
+    pis.push_back(aig.create_pi().get_node());
+  }
+  std::vector<node> out;
+  EXPECT_FALSE(bounded_support(aig, pis, 4u, out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(bounded_support(aig, std::span<const node>{pis.data(), 1u},
+                               0u, out));
+  EXPECT_TRUE(bounded_support(aig, pis, 5u, out));
+  EXPECT_EQ(out, pis);
+}
+
 } // namespace
