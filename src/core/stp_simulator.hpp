@@ -17,6 +17,12 @@
 ///
 /// `simulate_aig` runs the same matrix pass over an AIG (each AND with
 /// edge complements is a 2-input LUT) — the `TA` column of Table I.
+///
+/// Every mode writes into one `sim::signature_store` per call.  Its arena
+/// arrives zeroed without a `memset` (a huge-page-advised mapping from
+/// 2 MiB up, see signature_store.hpp), so at 2^17 patterns a run pays
+/// for its kernels, not for one page fault per 4 KiB of result; rows a
+/// mode never writes (row 0 of `simulate_aig`) read zero.
 #pragma once
 
 #include "core/stp_eval.hpp"

@@ -9,6 +9,16 @@
 /// Patterns appended after a simulation live in `sim::open_word`, never
 /// in the store.
 ///
+/// The arena is zero when a store is constructed or `reset`, at no cost
+/// of a `memset`: an arena of at least 2 MiB is a fresh anonymous
+/// mapping, aligned to 2 MiB and advised for transparent huge pages, and
+/// a smaller one comes from `calloc`; both are zero already.  Where the
+/// kernel grants transparent huge pages, a large store takes one fault
+/// per 2 MiB instead of 512 faults on 4 KiB pages; either way it never
+/// passes through the malloc heap.  Callers rely on zero rows: row 0
+/// (constant zero) of both AIG simulators is never written, and
+/// `simulate_klut_bitwise` ORs each pattern's bit into its gate rows.
+///
 /// Simulators guarantee the *canonical tail* invariant — bits at
 /// positions at or beyond `num_patterns` in the final word are zero, so
 /// whole-word signature comparison is meaningful — by calling
@@ -18,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace stps::sim {
@@ -63,12 +74,33 @@ public:
 
   signature_store() = default;
   /// Zero-initialized store of \p num_nodes rows × \p num_words words.
+  /// The words come zero from the allocator (a huge-page-advised
+  /// anonymous mapping from 2 MiB up, `calloc` below), so nothing is
+  /// written here; callers may rely on rows they never set reading zero.
   signature_store(std::size_t num_nodes, std::size_t num_words)
   {
     reset(num_nodes, num_words);
   }
 
-  /// Re-dimensions to \p num_nodes × \p num_words, all words zero.
+  /// Copies are deep; a moved-from store is empty (0 × 0).
+  signature_store(const signature_store&) = default;
+  signature_store& operator=(const signature_store&) = default;
+  signature_store(signature_store&& other) noexcept
+      : data_{std::move(other.data_)},
+        num_nodes_{std::exchange(other.num_nodes_, 0u)},
+        num_words_{std::exchange(other.num_words_, 0u)}
+  {
+  }
+  signature_store& operator=(signature_store&& other) noexcept
+  {
+    data_ = std::move(other.data_);
+    num_nodes_ = std::exchange(other.num_nodes_, 0u);
+    num_words_ = std::exchange(other.num_words_, 0u);
+    return *this;
+  }
+
+  /// Re-dimensions to \p num_nodes × \p num_words, all words zero (a
+  /// fresh arena, as in the constructor).
   void reset(std::size_t num_nodes, std::size_t num_words);
 
   std::size_t size() const noexcept { return num_nodes_; }
@@ -104,7 +136,41 @@ public:
   void mask_tail(uint64_t num_patterns);
 
 private:
-  std::vector<uint64_t> data_; ///< node-major arena
+  /// Owning zero-initialised word array: an anonymous mapping rounded up
+  /// to whole 2 MiB huge pages from 2 MiB up (`munmap`ed), `calloc` below.
+  class word_buffer
+  {
+  public:
+    word_buffer() = default;
+    explicit word_buffer(std::size_t size);
+    word_buffer(const word_buffer& other);
+    word_buffer(word_buffer&& other) noexcept
+        : words_{std::exchange(other.words_, nullptr)},
+          size_{std::exchange(other.size_, 0u)},
+          mapped_bytes_{std::exchange(other.mapped_bytes_, 0u)}
+    {
+    }
+    word_buffer& operator=(word_buffer other) noexcept
+    {
+      std::swap(words_, other.words_);
+      std::swap(size_, other.size_);
+      std::swap(mapped_bytes_, other.mapped_bytes_);
+      return *this;
+    }
+    ~word_buffer();
+
+    uint64_t* data() noexcept { return words_; }
+    const uint64_t* data() const noexcept { return words_; }
+    uint64_t& operator[](std::size_t i) noexcept { return words_[i]; }
+    uint64_t operator[](std::size_t i) const noexcept { return words_[i]; }
+
+  private:
+    uint64_t* words_ = nullptr;
+    std::size_t size_ = 0;         ///< words
+    std::size_t mapped_bytes_ = 0; ///< mapping length; 0 = from calloc
+  };
+
+  word_buffer data_; ///< node-major arena
   std::size_t num_nodes_ = 0;
   std::size_t num_words_ = 0;
 };

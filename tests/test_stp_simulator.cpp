@@ -70,6 +70,49 @@ TEST(StpSimulator, PartialBlockTailMatchesBitwiseBaseline)
   }
 }
 
+/// 2^14 + 37 patterns are 257 words (a partial last word), so every
+/// store of this 2k-gate AIG is above 2 MiB and lives in a mapped
+/// huge-page arena; every simulator must still match the bitwise AIG
+/// reference on every PO and leave canonical tails.
+TEST(StpSimulator, MappedStoresMatchBitwiseBaselineOnEveryPo)
+{
+  const auto aig = gen::make_random_logic({24u, 40u, 2000u, 17u, 25u});
+  const auto conv = net::aig_to_klut(aig);
+  const uint64_t num_patterns = (uint64_t{1} << 14u) + 37u;
+  const auto patterns =
+      sim::pattern_set::random(aig.num_pis(), num_patterns, 5u);
+  ASSERT_EQ(patterns.num_words(), 257u);
+
+  const uint64_t mask = sim::tail_mask(num_patterns);
+  const core::stp_simulator simulator;
+  const auto reference = sim::simulate_aig(aig, patterns);
+  const auto stp_aig = simulator.simulate_aig(aig, patterns);
+  const auto stp_klut = simulator.simulate_all(conv.klut, patterns);
+  const auto bitwise_klut = sim::simulate_klut_bitwise(conv.klut, patterns);
+  for (const auto* sig : {&reference, &stp_aig, &stp_klut, &bitwise_klut}) {
+    ASSERT_GT(sig->size() * sig->num_words() * sizeof(uint64_t),
+              std::size_t{2} << 20u);
+    for (std::size_t n = 0; n < sig->size(); ++n) {
+      ASSERT_EQ(sig->word(n, 256u) & ~mask, 0u)
+          << "node " << n;
+    }
+  }
+
+  ASSERT_EQ(conv.klut.num_pos(), aig.num_pos());
+  aig.foreach_po([&](net::signal f, uint32_t i) {
+    const uint64_t flip = f.is_complemented() ? ~uint64_t{0} : 0u;
+    const knode k = conv.klut.po_at(i);
+    for (std::size_t w = 0; w < 257u; ++w) {
+      const uint64_t keep = w == 256u ? mask : ~uint64_t{0};
+      const uint64_t want = (reference.word(f.get_node(), w) ^ flip) & keep;
+      ASSERT_EQ((stp_aig.word(f.get_node(), w) ^ flip) & keep, want)
+          << "PO " << i << " word " << w;
+      ASSERT_EQ(stp_klut.word(k, w), want) << "PO " << i << " word " << w;
+      ASSERT_EQ(bitwise_klut.word(k, w), want) << "PO " << i << " word " << w;
+    }
+  });
+}
+
 class SpecifiedSweep : public ::testing::TestWithParam<uint32_t>
 {
 };
